@@ -8,8 +8,6 @@
 //	semperos-bench -experiment fig6 -quick      # reduced scale
 //	semperos-bench -quick -parallel 4 -json out.json
 //	semperos-bench -quick -shards 4 -costs BENCH_quick.json
-//	semperos-bench -quick -simworkers 2 -json out.json   # partitioned engine
-//	semperos-bench -quick -simmode rounds -simworkers 4  # isolated rounds
 //
 // Experiments: table3, fig4, fig5, table4, fig6, fig7, fig8, fig9, fig10,
 // ablation; opt-in extras (excluded from "all"): ablation-ikc, faults,
@@ -37,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 )
 
 // experimentNames are the valid -experiment tokens, in run order. The
@@ -62,15 +59,13 @@ func realMain() int {
 	parallel := flag.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS); ignored with -shards")
 	shards := flag.Int("shards", 0, "execute the sweep on N worker processes (0 = in-process)")
 	costs := flag.String("costs", "", "prior report JSON whose wallclocks seed longest-first dispatch (default: instance-count heuristic)")
-	simworkers := flag.Int("simworkers", 0, "partition each simulation's event queue into min(N, kernels) per-kernel-block domains (0/1 = sequential engine); all simulated metrics stay byte-identical")
-	simmode := flag.String("simmode", "", "simulation mode: merged (default; order-preserving, byte-identical) or rounds (isolated barrier-synchronous rounds, one domain per kernel; deterministic at any -simworkers/-shards but metrics differ from merged by design)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the sweep) to this file")
-	faultseed := flag.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel/-shards/-simworkers")
+	faultseed := flag.Uint64("faultseed", 1, "seed of the deterministic fault injector (faults experiment); identical seeds reproduce runs byte-identically at any -parallel/-shards")
 	scalekernels := flag.Int("scalekernels", 0, "cap the scale experiment's grid at this many kernels (0 = the full grid up to 1024)")
 	scalebudget := flag.Duration("scalebudget", 10*time.Minute, "wall-clock budget of the scale experiment; grid points past it are skipped (0 = unlimited)")
-	crashkernel := flag.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel); crashing kernel 0 under -simmode rounds is rejected")
+	crashkernel := flag.Int("crashkernel", -1, "churn experiment: kernel to crash and recover mid-storm (-1 = the last kernel)")
 	worker := flag.Bool("worker", false, "internal: serve the shard worker protocol on stdin/stdout")
 	flag.Parse()
 
@@ -90,7 +85,7 @@ func realMain() int {
 	for _, f := range []struct {
 		name  string
 		value int
-	}{{"-parallel", *parallel}, {"-shards", *shards}, {"-simworkers", *simworkers}} {
+	}{{"-parallel", *parallel}, {"-shards", *shards}} {
 		if f.value < 0 {
 			fmt.Fprintf(os.Stderr, "%s must be non-negative (got %d)\n", f.name, f.value)
 			return 2
@@ -98,13 +93,6 @@ func realMain() int {
 	}
 	if *parallel != 0 && *shards > 0 {
 		fmt.Fprintf(os.Stderr, "warning: -parallel %d is ignored with -shards %d (each worker process runs its tasks serially)\n", *parallel, *shards)
-	}
-	switch *simmode {
-	case "", core.SimModeMerged, core.SimModeRounds:
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -simmode %q; valid modes: %s, %s\n",
-			*simmode, core.SimModeMerged, core.SimModeRounds)
-		return 2
 	}
 
 	valid := map[string]bool{"all": true}
@@ -158,15 +146,7 @@ func realMain() int {
 		opts = bench.Quick()
 	}
 	opts.Parallel = *parallel
-	opts.SimWorkers = *simworkers
-	opts.SimMode = *simmode
 	opts.FaultSeed = *faultseed
-	if *simworkers > opts.Kernels64 {
-		// Warn, don't clamp: the per-run construction caps the domain count
-		// at the run's kernel count anyway, so the extra workers just idle.
-		fmt.Fprintf(os.Stderr, "warning: -simworkers %d exceeds the sweep's largest kernel count (%d); extra workers will idle\n",
-			*simworkers, opts.Kernels64)
-	}
 	if *costs != "" {
 		model, err := bench.LoadCostModel(*costs)
 		if err != nil {
@@ -195,10 +175,6 @@ func realMain() int {
 		workers = *shards
 	}
 	report := bench.NewReport(*quick, workers)
-	if *simworkers > 1 {
-		report.SimWorkers = *simworkers
-	}
-	report.SimMode = *simmode
 	opts.Report = report
 
 	all := want["all"]
@@ -264,8 +240,8 @@ func realMain() int {
 		r.Print(os.Stdout)
 	})
 	if churnErr != nil {
-		// An invalid scenario (out-of-range kernel, kernel 0 under rounds) is
-		// a usage error, rejected before any simulation ran.
+		// An invalid scenario (out-of-range kernel) is a usage error,
+		// rejected before any simulation ran.
 		fmt.Fprintln(os.Stderr, churnErr)
 		return 2
 	}

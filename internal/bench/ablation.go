@@ -14,7 +14,7 @@ import (
 // revocation discussion with "we believe that this can be further improved
 // by the use of message batching. So far, the kernel managing the root
 // capability sends out one message for each child capability." This
-// experiment implements that proposal (core.Config.RevokeBatching) and
+// experiment implements that proposal (core.IKCBatching.Revoke) and
 // measures its effect on Figure 5's workload.
 
 // AblationRow compares plain and batched tree revocation at one breadth.
@@ -35,27 +35,19 @@ type AblationResult struct {
 // ablationTreeRevoke builds a root with n children over 1+extra kernels and
 // measures revoking it, returning the duration and total inter-kernel
 // messages.
-func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simWorkers int, simMode string) (sim.Duration, uint64) {
+func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool) (sim.Duration, uint64) {
 	kernels := extra + 1
 	perGroup := n + 1
 	if extra > 0 {
 		perGroup = (n+extra-1)/extra + 1
 	}
 	sys := core.MustNew(core.Config{
-		Kernels:        kernels,
-		UserPEs:        kernels * perGroup,
-		RevokeBatching: batching,
-		Engine:         eng,
-		SimWorkers:     simWorkers,
-		SimMode:        simMode,
+		Kernels:     kernels,
+		UserPEs:     kernels * perGroup,
+		IKCBatching: core.IKCBatching{Revoke: batching},
+		Engine:      eng,
 	})
 	defer sys.Close()
-	// Under isolated rounds the root must not read other kernels' counters
-	// mid-run (cross-domain state): the run splits at the fan-out/revoke
-	// boundary instead, and the driver snapshots the counters between the
-	// two Run calls, when all domains are quiesced. Merged mode keeps the
-	// single-run shape (and its byte-identical trace).
-	rounds := simMode == core.SimModeRounds && kernels > 1
 	byGroup := make(map[int][]int)
 	for _, pe := range sys.UserPEs() {
 		g := sys.KernelOfPE(pe).ID()
@@ -65,9 +57,7 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simWorkers
 	byGroup[0] = byGroup[0][1:]
 
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
-	goRevoke := sim.NewFuture[struct{}](sys.Eng)
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(n)
 	var revTime sim.Duration
 	var msgsBefore uint64
@@ -76,14 +66,10 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simWorkers
 		if err != nil {
 			panic(err)
 		}
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		wg.Wait(p)
-		if rounds {
-			goRevoke.Wait(p)
-		} else {
-			for ki := 0; ki < sys.Kernels(); ki++ {
-				msgsBefore += sys.Kernel(ki).Stats().IKCSent
-			}
+		for ki := 0; ki < sys.Kernels(); ki++ {
+			msgsBefore += sys.Kernel(ki).Stats().IKCSent
 		}
 		t0 := p.Now()
 		if err := v.Revoke(p, sel); err != nil {
@@ -106,17 +92,10 @@ func ablationTreeRevoke(eng *sim.Engine, n, extra int, batching bool, simWorkers
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				panic(err)
 			}
-			wg.DoneFrom(p)
+			wg.Done()
 		}); err != nil {
 			panic(err)
 		}
-	}
-	if rounds {
-		sys.Run() // fan-out drains; the root parks on goRevoke
-		for ki := 0; ki < sys.Kernels(); ki++ {
-			msgsBefore += sys.Kernel(ki).Stats().IKCSent
-		}
-		goRevoke.Complete(struct{}{})
 	}
 	sys.Run()
 	var msgsAfter uint64
@@ -142,7 +121,7 @@ func init() { registerKind(kindAblationRevoke, runAblationRevokeSpec) }
 
 func runAblationRevokeSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	n, extra := spec.Config.Instances, spec.Config.Kernels-1
-	c, m := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched", spec.SimWorkers, spec.SimMode)
+	c, m := ablationTreeRevoke(eng, n, extra, spec.Variant == "batched")
 	return Metrics{Cycles: uint64(c)}, ablationAux{Msgs: m}, nil
 }
 
@@ -240,7 +219,7 @@ func ikcWireMsgs(sys *core.System) (req, rep uint64) {
 
 // ablationIKCSystem builds the fan-out machine: the owner/service group
 // plus `extra` client groups, n clients spread round-robin over them.
-func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simWorkers int, simMode string) (*core.System, []int) {
+func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching) (*core.System, []int) {
 	kernels := extra + 1
 	perGroup := n + 2
 	if extra > 0 {
@@ -251,8 +230,6 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simW
 		UserPEs:     kernels * perGroup,
 		IKCBatching: pol,
 		Engine:      eng,
-		SimWorkers:  simWorkers,
-		SimMode:     simMode,
 	})
 	byGroup := make(map[int][]int)
 	for _, pe := range sys.UserPEs() {
@@ -273,14 +250,13 @@ func ablationIKCSystem(eng *sim.Engine, n, extra int, pol core.IKCBatching, simW
 // ablationExchange measures n spanning obtains of one root capability,
 // returning the fan-out makespan and the inter-kernel wire messages by
 // direction.
-func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simWorkers int, simMode string) (sim.Duration, uint64, uint64) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched}, simWorkers, simMode)
+func ablationExchange(eng *sim.Engine, n, extra int, batched bool) (sim.Duration, uint64, uint64) {
+	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{Exchange: batched})
 	defer sys.Close()
 	ready := sim.NewFuture[cap.Selector](sys.Eng)
 	var t0 sim.Time
 	var end sim.Time
 	var wg sim.WaitGroup
-	wg.Bind(sys.Eng)
 	wg.Add(n)
 	root, err := sys.SpawnOn(pes[0], "root", func(v *core.VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
@@ -288,7 +264,7 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simWorkers in
 			panic(err)
 		}
 		t0 = p.Now()
-		ready.CompleteFrom(p, sel)
+		ready.Complete(sel)
 		wg.Wait(p)
 		end = p.Now()
 	})
@@ -301,7 +277,7 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simWorkers in
 			if _, err := v.ObtainFrom(p, root.ID, sel); err != nil {
 				panic(err)
 			}
-			wg.DoneFrom(p)
+			wg.Done()
 		}); err != nil {
 			panic(err)
 		}
@@ -314,15 +290,12 @@ func ablationExchange(eng *sim.Engine, n, extra int, batched bool, simWorkers in
 // ablationSvcQuery measures n clients each opening a session to one
 // service and performing one session-scoped obtain, returning the fan-out
 // makespan and the inter-kernel wire messages by direction.
-func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simWorkers int, simMode string) (sim.Duration, uint64, uint64) {
-	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched}, simWorkers, simMode)
+func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool) (sim.Duration, uint64, uint64) {
+	sys, pes := ablationIKCSystem(eng, n, extra, core.IKCBatching{ServiceQuery: batched})
 	defer sys.Close()
 	svcReady := sim.NewFuture[struct{}](sys.Eng)
 	var t0 sim.Time
-	// Per-client finish times: each slot has exactly one writer, so the
-	// fan-out stays race-free under isolated rounds; the max reduction
-	// happens after Run, when all domains are quiesced.
-	ends := make([]sim.Time, n)
+	var end sim.Time
 	var idents uint64
 	if _, err := sys.SpawnOn(pes[0], "svc", func(v *core.VPE, p *sim.Proc) {
 		sel, err := v.AllocMem(p, 4096, dtu.PermRW)
@@ -342,13 +315,12 @@ func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simWorkers in
 			panic(err)
 		}
 		t0 = p.Now()
-		svcReady.CompleteFrom(p, struct{}{})
+		svcReady.Complete(struct{}{})
 		v.ServeLoop(p)
 	}); err != nil {
 		panic(err)
 	}
 	for i := 0; i < n; i++ {
-		i := i
 		if _, err := sys.SpawnOn(pes[1+i], fmt.Sprintf("c%d", i), func(v *core.VPE, p *sim.Proc) {
 			svcReady.Wait(p)
 			sess, err := v.CreateSession(p, "fan", nil)
@@ -358,16 +330,14 @@ func ablationSvcQuery(eng *sim.Engine, n, extra int, batched bool, simWorkers in
 			if _, _, err := sess.Obtain(p, nil); err != nil {
 				panic(err)
 			}
-			ends[i] = p.Now()
+			if end < p.Now() {
+				end = p.Now()
+			}
 		}); err != nil {
 			panic(err)
 		}
 	}
 	sys.Run()
-	var end sim.Time
-	for _, e := range ends {
-		end = max(end, e)
-	}
 	req, rep := ikcWireMsgs(sys)
 	return end - t0, req, rep
 }
@@ -393,9 +363,9 @@ func runIKCSpec(spec TaskSpec, eng *sim.Engine) (Metrics, any, error) {
 	var req, rep uint64
 	switch spec.Kind {
 	case kindIKCExchange:
-		c, req, rep = ablationExchange(eng, n, extra, batched, spec.SimWorkers, spec.SimMode)
+		c, req, rep = ablationExchange(eng, n, extra, batched)
 	case kindIKCSvcQuery:
-		c, req, rep = ablationSvcQuery(eng, n, extra, batched, spec.SimWorkers, spec.SimMode)
+		c, req, rep = ablationSvcQuery(eng, n, extra, batched)
 	default:
 		return Metrics{}, nil, fmt.Errorf("ikc ablation: unknown kind %q", spec.Kind)
 	}

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"reflect"
-	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // TestChurnStorm drives the churn scenario at test scale and checks its
@@ -64,8 +61,8 @@ func TestChurnStorm(t *testing.T) {
 }
 
 // TestChurnDeterministic: the churn report is an exact function of (seed,
-// plan) — byte-identical across worker-pool sizes and event-queue
-// partitionings, and different under a different seed.
+// plan) — byte-identical across worker-pool sizes, and different under a
+// different seed.
 func TestChurnDeterministic(t *testing.T) {
 	a, err := Churn(Options{FaultSeed: 3, Parallel: 1}, 32, 4, -1)
 	if err != nil {
@@ -78,13 +75,6 @@ func TestChurnDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("identical seeds diverged across pool sizes:\n%+v\n%+v", a, b)
 	}
-	c, err := Churn(Options{FaultSeed: 3, SimWorkers: 4}, 32, 4, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, c) {
-		t.Errorf("partitioned run diverged from sequential:\n%+v\n%+v", a, c)
-	}
 	d, err := Churn(Options{FaultSeed: 4}, 32, 4, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -94,45 +84,14 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnRounds: the scenario runs under isolated rounds — deterministic
-// across repeats and leak-free — as long as the crashed kernel is not the
-// rounds-mode DRAM-refill home.
-func TestChurnRounds(t *testing.T) {
-	run := func() ChurnResult {
-		r, err := Churn(Options{FaultSeed: 1, SimMode: core.SimModeRounds}, 32, 4, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("rounds-mode churn diverged across identical runs:\n%+v\n%+v", a, b)
-	}
-	for _, row := range a.Rows {
-		if row.Aux.LeakedEntries != 0 {
-			t.Errorf("rounds %s at %dbp leaked %d entries", row.Scenario, row.DropBp, row.Aux.LeakedEntries)
-		}
-		if row.Scenario == "storm" && row.Aux.Rejoins != 1 {
-			t.Errorf("rounds storm at %dbp: Rejoins = %d, want 1", row.DropBp, row.Aux.Rejoins)
-		}
-	}
-}
-
-// TestChurnRejectsInvalidScenarios: crashing kernel 0 under rounds (the
-// DRAM-refill home) and out-of-range crash kernels are errors before any
-// simulation runs.
+// TestChurnRejectsInvalidScenarios: out-of-range crash kernels are errors
+// before any simulation runs.
 func TestChurnRejectsInvalidScenarios(t *testing.T) {
-	if _, err := Churn(Options{SimMode: core.SimModeRounds}, 16, 4, 0); err == nil {
-		t.Errorf("crashing kernel 0 under rounds was accepted")
-	} else if !strings.Contains(err.Error(), "kernel 0") {
-		t.Errorf("unexpected error for kernel 0 under rounds: %v", err)
-	}
 	if _, err := Churn(Options{}, 16, 4, 9); err == nil {
 		t.Errorf("out-of-range crash kernel was accepted")
 	}
-	// Kernel 0 under merged mode is degenerate but legal.
+	// Crashing kernel 0 is degenerate but legal.
 	if _, err := Churn(Options{}, 16, 4, 0); err != nil {
-		t.Errorf("crashing kernel 0 under merged mode rejected: %v", err)
+		t.Errorf("crashing kernel 0 rejected: %v", err)
 	}
 }

@@ -137,7 +137,8 @@ func (k *Kernel) recvRequest(req *ikcRequest) {
 			// credit to the sender. In reliable mode the credit instead
 			// returns when the sender's transmission resolves (onReply /
 			// abort in reliability.go) — a lost request must not leak it.
-			k.returnCredit(req.From)
+			src := k.sys.kernels[req.From]
+			k.sys.Eng.Schedule(0, func() { src.inflightTo(k.id).Release() })
 		}
 		k.exec(p, k.sys.Cost.IKCDispatch)
 		if k.admitRequest(req) && k.dedupCheck(req) {
@@ -154,21 +155,6 @@ func (k *Kernel) recvRequest(req *ikcRequest) {
 	} else {
 		k.ikcPool.submit(job)
 	}
-}
-
-// returnCredit gives the in-flight credit for one picked-up wire message
-// back to its sending kernel. Merged mode returns it instantly (a zero-delay
-// event, the historical baseline trace); rounds mode sends a credit message
-// back over the NoC, so the release lands on the sender's domain one NoC
-// latency later — the semaphore stays single-writer and the edge respects
-// the lookahead bound.
-func (k *Kernel) returnCredit(from int) {
-	src := k.sys.kernels[from]
-	if k.sys.rounds {
-		k.sys.Net.Send(k.pe, src.pe, creditMsgBytes, func() { src.inflightTo(k.id).Release() })
-		return
-	}
-	k.sys.Eng.Schedule(0, func() { src.inflightTo(k.id).Release() })
 }
 
 // recvBatch runs at the receiving kernel when a coalesced envelope arrives
@@ -202,7 +188,8 @@ func (k *Kernel) recvBatch(msgs []*dtu.Message) {
 			k.dtu.Free(m)
 		}
 		if !k.reliable() {
-			k.returnCredit(batch.From)
+			src := k.sys.kernels[batch.From]
+			k.sys.Eng.Schedule(0, func() { src.inflightTo(k.id).Release() })
 		}
 		for _, req := range batch.Reqs {
 			k.exec(p, k.sys.Cost.IKCDispatch)
@@ -248,12 +235,6 @@ func (k *Kernel) dispatchRequest(p *sim.Proc, req *ikcRequest) {
 		rep = k.handleObtainSessReq(p, req)
 	case ikcDelegateSess:
 		rep = k.handleDelegateSessReq(p, req)
-	case ikcSvcLookup:
-		rep = k.handleSvcLookup(p, req)
-	case ikcSvcRegister:
-		rep = k.handleSvcRegister(p, req)
-	case ikcDRAMRefill:
-		rep = k.handleDRAMRefill(p, req)
 	case ikcRejoin:
 		rep = k.handleRejoin(p, req)
 	default:
@@ -304,7 +285,7 @@ func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	k.stats.IKCRepSent++
 	src := k.sys.kernels[req.From]
-	k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
+	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
 		k.sys.Net.Send(k.pe, src.pe, ikcRepBytes, func() { src.recvReply(rep) })
 	})
 }

@@ -96,7 +96,6 @@ type Kernel struct {
 	id     int
 	pe     int
 	sys    *System
-	dom    *sim.Domain // event domain this kernel's procs run on
 	dtu    *dtu.DTU
 	store  *cap.Store
 	gen    *ddl.Generator
@@ -151,32 +150,7 @@ type Kernel struct {
 	// revocation that marked it (paper Algorithm 1).
 	revocations ddl.KeyMap[*revState]
 
-	// Rounds-mode partitioned state (all nil/empty in merged mode, where
-	// System.services and System.dramNext stay authoritative):
-	//
-	// svcOwn holds the services this kernel registered (it is their owner
-	// and serves their sessions). svcDir is the directory slice this kernel
-	// is home for — service names hash to a home kernel, which answers
-	// ikcSvcLookup queries and filters dead owners. svcCache caches remote
-	// lookups (read-mostly: service locations never move once registered).
-	svcOwn   map[string]*serviceEntry
-	svcDir   map[string]svcLoc
-	svcCache map[string]svcLoc
-
-	// dramSpans is the kernel's pre-carved DRAM quota (system.go,
-	// carveDRAMQuota), refilled from kernel 0's central pool via
-	// ikcDRAMRefill when exhausted. dramRR round-robins across spans.
-	dramSpans []dramSpan
-	dramRR    int
-
 	stats KernelStats
-}
-
-// svcLoc is a directory-resident service location: the owning kernel and the
-// service's capability key. It is the payload of ikcSvcLookup replies.
-type svcLoc struct {
-	kernel int
-	key    ddl.Key
 }
 
 func newKernel(s *System, id int) *Kernel {
@@ -185,7 +159,6 @@ func newKernel(s *System, id int) *Kernel {
 		pe:              id,
 		incarnation:     1,
 		sys:             s,
-		dom:             s.domainOfKernel(id),
 		dtu:             s.Fab.DTU(id),
 		store:           cap.NewStore(),
 		gen:             ddl.NewGenerator(),
@@ -196,11 +169,6 @@ func newKernel(s *System, id int) *Kernel {
 		pending:         make(map[uint64]*sim.Future[*ikcReply]),
 		inflightObtains: make(map[uint64]*inflightObtain),
 	}
-	if s.rounds {
-		k.svcOwn = make(map[string]*serviceEntry)
-		k.svcDir = make(map[string]svcLoc)
-		k.svcCache = make(map[string]svcLoc)
-	}
 	for _, pe := range s.userPEs {
 		if s.member.KernelOf(pe) == id {
 			k.group = append(k.group, pe)
@@ -209,7 +177,7 @@ func newKernel(s *System, id int) *Kernel {
 	k.syscallPool = newPool(k, "sys", max(len(k.group), 1))
 	k.ikcPool = newPool(k, "ikc", k.ikcWindow())
 	k.revokePool = newPool(k, "rev", RevokeThreads)
-	k.xport = newTransport(k, s.cfg.batchingPolicy())
+	k.xport = newTransport(k, s.cfg.IKCBatching.withDefaults())
 	if s.rel != nil {
 		k.rt = newRelState(k, *s.rel)
 	}
@@ -308,7 +276,7 @@ func (pl *pool) submit(job func(p *sim.Proc)) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		pl.spawned++
 		name := fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, pl.spawned)
-		pl.k.dom.Spawn(name, func(p *sim.Proc) {
+		pl.k.sys.Eng.Spawn(name, func(p *sim.Proc) {
 			for {
 				j := pl.q.Pop(p)
 				j(p)
@@ -377,11 +345,9 @@ func (k *Kernel) askVPE(p *sim.Proc, v *VPE, q ExchangeQuery) bool {
 	fut := sim.NewFuture[bool](k.sys.Eng)
 	cost := k.sys.Cost
 	k.sys.Net.Send(k.pe, v.PE, vpeQueryBytes, func() {
-		// The VPE's exchange handler answers after its decision time. The
-		// delay runs on the kernel's own domain (the VPE shares it), which
-		// merged mode executes identically to an engine-level schedule.
+		// The VPE's exchange handler answers after its decision time.
 		ans := v.answerExchange(q)
-		k.dom.Schedule(cost.VPEAccept, func() {
+		k.sys.Eng.Schedule(cost.VPEAccept, func() {
 			k.sys.Net.Send(v.PE, k.pe, 16, func() { fut.Complete(ans.Accept) })
 		})
 	})

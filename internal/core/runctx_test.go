@@ -44,16 +44,16 @@ func buildFanoutNoRun(t *testing.T, s *System, n int) []error {
 }
 
 // TestSystemRunCtxCancelDeterministic: cancelling System.RunCtx from an
-// in-simulation event stops at the same executed count and virtual time at
-// every -simworkers setting, the resumed run completes every operation,
+// in-simulation event stops at the same executed count and virtual time on
+// every repeat, the resumed run completes every operation,
 // and the final kernel stats match an uncancelled run. Teardown after a
 // cancelled run is clean (Close settles LiveProcs to zero).
 func TestSystemRunCtxCancelDeterministic(t *testing.T) {
 	const kids = 12
-	cfg := func(w int) Config { return Config{Kernels: 4, UserPEs: kids + 7, SimWorkers: w} }
+	cfg := Config{Kernels: 4, UserPEs: kids + 7}
 
 	// Uncancelled reference.
-	refSys := MustNew(cfg(1))
+	refSys := MustNew(cfg)
 	refErrs := buildFanoutNoRun(t, refSys, kids)
 	refSys.Run()
 	refStats := refSys.TotalStats()
@@ -64,8 +64,8 @@ func TestSystemRunCtxCancelDeterministic(t *testing.T) {
 	}
 	refSys.Close()
 
-	partial := func(w int) (uint64, sim.Time) {
-		s := MustNew(cfg(w))
+	partial := func() (uint64, sim.Time) {
+		s := MustNew(cfg)
 		errs := buildFanoutNoRun(t, s, kids)
 		ctx, cancel := context.WithCancel(context.Background())
 		// Cancel from inside the simulation at a fixed virtual time: the
@@ -73,39 +73,33 @@ func TestSystemRunCtxCancelDeterministic(t *testing.T) {
 		// sequence.
 		s.Eng.Schedule(3_000, cancel)
 		if err := s.RunCtx(ctx); err != context.Canceled {
-			t.Fatalf("simworkers=%d: RunCtx = %v, want context.Canceled", w, err)
+			t.Fatalf("RunCtx = %v, want context.Canceled", err)
 		}
 		executed, now := s.Eng.Executed(), s.Now()
 		// The engine stays valid: resuming completes the workload exactly.
 		if err := s.RunCtx(context.Background()); err != nil {
-			t.Fatalf("simworkers=%d resume: %v", w, err)
+			t.Fatalf("resume: %v", err)
 		}
 		for i, err := range errs {
 			if err != nil {
-				t.Errorf("simworkers=%d client %d after resume: %v", w, i, err)
+				t.Errorf("client %d after resume: %v", i, err)
 			}
 		}
 		if st := s.TotalStats(); st != refStats {
-			t.Errorf("simworkers=%d: resumed stats differ from uncancelled run:\n%+v\n%+v", w, st, refStats)
+			t.Errorf("resumed stats differ from uncancelled run:\n%+v\n%+v", st, refStats)
 		}
 		s.Close()
 		if n := s.Eng.LiveProcs(); n != 0 {
-			t.Errorf("simworkers=%d: LiveProcs = %d after Close, want 0", w, n)
+			t.Errorf("LiveProcs = %d after Close, want 0", n)
 		}
 		return executed, now
 	}
 
-	exec1, now1 := partial(1)
+	exec1, now1 := partial()
 	if exec1 == 0 {
 		t.Fatal("cancellation struck before any event")
 	}
-	for _, w := range []int{2, 4} {
-		if execW, nowW := partial(w); execW != exec1 || nowW != now1 {
-			t.Errorf("simworkers=%d: cancel point (executed=%d now=%d) differs from sequential (%d, %d)",
-				w, execW, nowW, exec1, now1)
-		}
-	}
-	if execR, nowR := partial(2); execR != exec1 || nowR != now1 {
+	if execR, nowR := partial(); execR != exec1 || nowR != now1 {
 		t.Errorf("repeat: cancel point (executed=%d now=%d) not reproducible (%d, %d)",
 			execR, nowR, exec1, now1)
 	}
@@ -117,7 +111,7 @@ func TestSystemRunCtxCancelDeterministic(t *testing.T) {
 // exactly.
 func TestSystemRunCtxCancelPoolReuse(t *testing.T) {
 	const kids = 12
-	cfg := Config{Kernels: 4, UserPEs: kids + 7, SimWorkers: 2}
+	cfg := Config{Kernels: 4, UserPEs: kids + 7}
 
 	ref := MustNew(cfg)
 	buildFanoutNoRun(t, ref, kids)

@@ -67,16 +67,16 @@ type IKCBatching struct {
 	ServiceQuery bool
 	// Revoke batches tree-revocation requests for remote children, one
 	// envelope per owning kernel, collected during the mark phase and
-	// flushed at its end (the paper's §5.2 proposal). Config.RevokeBatching
-	// is a deprecated alias for this flag. In the reply direction it routes
-	// thread-context revoke replies through the sink (they leave at the
-	// dispatch barrier); continuation-completed replies stay direct — see
-	// ikReplyAsync — so revocation completion never waits on a window.
+	// flushed at its end (the paper's §5.2 proposal). In the reply
+	// direction it routes thread-context revoke replies through the sink
+	// (they leave at the dispatch barrier); continuation-completed replies
+	// stay direct — see ikReplyAsync — so revocation completion never waits
+	// on a window.
 	Revoke bool
 	// MaxBatch flushes an exchange/service-query queue inline when it
 	// reaches this many requests (default DefaultMaxBatch). Revoke batches
-	// are bounded by the mark phase instead, matching the original
-	// RevokeBatching semantics. Reply queues use the same bound.
+	// are bounded by the mark phase instead. Reply queues use the same
+	// bound.
 	MaxBatch int
 	// FlushWindow is the *ceiling* of the adaptive aggregation window: the
 	// longest a non-empty request queue may wait for more traffic before
@@ -346,7 +346,7 @@ func (t *transport) enqueue(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*
 		t.flushLocked(p, key)
 	} else if len(q.reqs) == 1 {
 		epoch := q.epoch
-		k.dom.Schedule(q.window, func() { t.timerFire(key, epoch) })
+		k.sys.Eng.Schedule(q.window, func() { t.timerFire(key, epoch) })
 	}
 	return fut
 }
@@ -381,7 +381,7 @@ func (t *transport) timerFire(key qkey, epoch uint64) {
 	}
 	if !t.spawned {
 		t.spawned = true
-		t.k.dom.Spawn(fmt.Sprintf("k%d/xmit", t.k.id), func(p *sim.Proc) {
+		t.k.sys.Eng.Spawn(fmt.Sprintf("k%d/xmit", t.k.id), func(p *sim.Proc) {
 			for {
 				ref := t.flushQ.Pop(p)
 				t.flushFrom(p, ref)
@@ -513,7 +513,7 @@ func (t *transport) flushReplies(key rkey) {
 	for i, r := range reps {
 		items[i] = dtu.VecItem{Payload: r, Size: ikcBatchedRepBytes}
 	}
-	k.dom.Schedule(k.sys.Cost.IKCCompose, func() {
+	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
 		must(k.dtu.SendVecTo(dk.pe, ikcReplyEP, items))
 	})
 }

@@ -90,7 +90,7 @@ func (v *VPE) start() {
 		return
 	}
 	v.started = true
-	v.proc = v.kernel.dom.Spawn(fmt.Sprintf("vpe%d:%s", v.ID, v.Name), func(p *sim.Proc) {
+	v.proc = v.sys.Eng.Spawn(fmt.Sprintf("vpe%d:%s", v.ID, v.Name), func(p *sim.Proc) {
 		v.prog(v, p)
 		if !v.exited {
 			v.doneAt = p.Now()

@@ -3,12 +3,10 @@
 // drop/duplication probabilities, delivery-delay jitter, kernel stall
 // windows and kernel crash times — and an Injector draws every decision
 // from a splittable counter-based PRNG keyed by (seed, src, dst, per-pair
-// message counter). Because the NoC calls Inspect once per message in a
-// deterministic order (the merged event loop preserves event order at any
-// -simworkers setting; isolated rounds order each sender's stream on its
-// own domain and the injector shards all mutable state by source PE; and
-// -parallel/-shards parallelize across independent simulations), a fixed
-// seed yields a byte-identical faulty run regardless of host parallelism.
+// message counter). Because the NoC calls Inspect once per message in the
+// engine's deterministic event order (and -parallel/-shards parallelize
+// across independent simulations), a fixed seed yields a byte-identical
+// faulty run regardless of host parallelism.
 //
 // Faults apply only to kernel↔kernel links (both endpoints below the
 // kernel-PE bound): the inter-kernel protocol is the layer hardened
@@ -130,27 +128,19 @@ type effRates struct {
 	jitter    sim.Duration
 }
 
-// Injector implements noc.Injector for a Plan. All mutable state — the
-// per-pair PRNG counters, the resolved-rate cache and the stats — is
-// sharded by source PE: the NoC calls Inspect at send time on the sending
-// node's path, so under isolated rounds (one event domain per kernel) each
-// shard has exactly one writer and the injector is safe without locks. The
-// sharding changes nothing observable: counters advance per (src, dst)
-// pair exactly as before, so merged-mode fault sequences are untouched.
+// Injector implements noc.Injector for a Plan. It is not safe for
+// concurrent use; the NoC calls it from its engine's event loop only.
 type Injector struct {
 	plan      Plan
 	kernelPEs int
-	perSrc    []srcState
-	kfaults   map[int][]KernelFault // read-only after NewInjector
+	rates     map[link]effRates
+	counters  map[link]uint64
+	kfaults   map[int][]KernelFault
+	stats     Stats
 }
 
-// srcState is one source PE's shard of the injector's mutable state, maps
-// keyed by destination PE.
-type srcState struct {
-	rates    map[int]effRates
-	counters map[int]uint64
-	stats    Stats
-}
+// link is a directed kernel↔kernel link, the key of the per-pair state.
+type link struct{ src, dst int }
 
 // NewInjector compiles a plan against a machine whose kernel PEs are
 // [0, kernelPEs). Link rules naming kernels outside that range simply
@@ -159,12 +149,9 @@ func NewInjector(plan Plan, kernelPEs int) *Injector {
 	in := &Injector{
 		plan:      plan,
 		kernelPEs: kernelPEs,
-		perSrc:    make([]srcState, kernelPEs),
+		rates:     make(map[link]effRates),
+		counters:  make(map[link]uint64),
 		kfaults:   make(map[int][]KernelFault),
-	}
-	for i := range in.perSrc {
-		in.perSrc[i].rates = make(map[int]effRates)
-		in.perSrc[i].counters = make(map[int]uint64)
 	}
 	for _, kf := range plan.Kernels {
 		in.kfaults[kf.Kernel] = append(in.kfaults[kf.Kernel], kf)
@@ -172,34 +159,21 @@ func NewInjector(plan Plan, kernelPEs int) *Injector {
 	return in
 }
 
-// Stats sums the per-source shards into one snapshot. Call it only while
-// no simulation round is in flight (shards are written lock-free).
-func (in *Injector) Stats() Stats {
-	var out Stats
-	for i := range in.perSrc {
-		s := &in.perSrc[i].stats
-		out.Inspected += s.Inspected
-		out.Dropped += s.Dropped
-		out.Duplicated += s.Duplicated
-		out.Delayed += s.Delayed
-		out.Stalled += s.Stalled
-		out.Blackholed += s.Blackholed
-	}
-	return out
-}
+// Stats returns a snapshot of the injection counters.
+func (in *Injector) Stats() Stats { return in.stats }
 
-func (in *Injector) ratesFor(ss *srcState, src, dst int) effRates {
-	if r, ok := ss.rates[dst]; ok {
+func (in *Injector) ratesFor(l link) effRates {
+	if r, ok := in.rates[l]; ok {
 		return r
 	}
 	r := effRates{drop: in.plan.Drop, dup: in.plan.Dup, jitter: in.plan.Jitter}
 	for _, lr := range in.plan.Links {
-		if (lr.Src == -1 || lr.Src == src) && (lr.Dst == -1 || lr.Dst == dst) {
+		if (lr.Src == -1 || lr.Src == l.src) && (lr.Dst == -1 || lr.Dst == l.dst) {
 			r = effRates{drop: lr.Drop, dup: lr.Dup, jitter: lr.Jitter}
 			break
 		}
 	}
-	ss.rates[dst] = r
+	in.rates[l] = r
 	return r
 }
 
@@ -235,31 +209,31 @@ func (in *Injector) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
 	if src == dst || src >= in.kernelPEs || dst >= in.kernelPEs {
 		return noc.Verdict{}
 	}
-	ss := &in.perSrc[src]
-	ss.stats.Inspected++
-	ctr := ss.counters[dst]
-	ss.counters[dst] = ctr + 1
+	l := link{src, dst}
+	in.stats.Inspected++
+	ctr := in.counters[l]
+	in.counters[l] = ctr + 1
 	// A crashed endpoint blackholes the link in both directions: messages
 	// to a dead kernel vanish, and a dead kernel sends nothing (its
 	// in-flight sends at crash time vanish too).
 	if in.crashed(src, now) || in.crashed(dst, now) {
-		ss.stats.Blackholed++
+		in.stats.Blackholed++
 		return noc.Verdict{Drop: true}
 	}
-	r := in.ratesFor(ss, src, dst)
+	r := in.ratesFor(l)
 	var v noc.Verdict
 	if r.drop > 0 && in.draw(src, dst, ctr, saltDrop) < r.drop {
 		v.Drop = true
-		ss.stats.Dropped++
+		in.stats.Dropped++
 	}
 	if !v.Drop && r.dup > 0 && in.draw(src, dst, ctr, saltDup) < r.dup {
 		v.Dup = true
-		ss.stats.Duplicated++
+		in.stats.Duplicated++
 	}
 	if r.jitter > 0 {
 		if j := sim.Duration(in.draw(src, dst, ctr, saltJitter) * float64(r.jitter)); j > 0 {
 			v.Delay += j
-			ss.stats.Delayed++
+			in.stats.Delayed++
 		}
 	}
 	// Stall windows delay delivery into the stalled kernel (it stops
@@ -267,7 +241,7 @@ func (in *Injector) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
 	if !v.Drop {
 		if d := in.stallDelay(dst, now); d > 0 {
 			v.Delay += d
-			ss.stats.Stalled++
+			in.stats.Stalled++
 		}
 	}
 	return v

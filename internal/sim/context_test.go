@@ -90,20 +90,11 @@ func TestRunUntilCtxHorizon(t *testing.T) {
 	}
 }
 
-// mergedChains wires a 4-domain merged-mode engine (the partitioning the
-// kernel model uses for -simworkers) running one bounded event chain per
-// domain, recording (domain, step) into log. onStep, when non-nil, observes
-// the global step count — the hook the cancellation tests use to cancel
-// from inside the simulation at a deterministic point.
-func mergedChains(e *Engine, steps, workers int, log *[]uint64, onStep func(total int)) {
-	const L = Duration(5)
-	doms := make([]*Domain, 4)
-	doms[0] = e.Domain(0)
-	for i := 1; i < 4; i++ {
-		doms[i] = e.NewDomain()
-	}
-	e.SetLookahead(L)
-	e.SetWorkers(workers)
+// chains runs four bounded event chains with different strides, recording
+// (chain, step) into log. onStep, when non-nil, observes the global step
+// count — the hook the cancellation tests use to cancel from inside the
+// simulation at a deterministic point.
+func chains(e *Engine, steps int, log *[]uint64, onStep func(total int)) {
 	total := 0
 	var step func(d, i int)
 	step = func(d, i int) {
@@ -113,12 +104,12 @@ func mergedChains(e *Engine, steps, workers int, log *[]uint64, onStep func(tota
 			onStep(total)
 		}
 		if i+1 < steps {
-			doms[d].Schedule(Duration(1+d%3), func() { step(d, i+1) })
+			e.Schedule(Duration(1+d%3), func() { step(d, i+1) })
 		}
 	}
 	for d := 0; d < 4; d++ {
 		d := d
-		doms[d].Schedule(Duration(d+1), func() { step(d, 0) })
+		e.Schedule(Duration(d+1), func() { step(d, 0) })
 	}
 }
 
@@ -134,61 +125,47 @@ func logsEqual(a, b []uint64) bool {
 	return true
 }
 
-// TestRunCtxCancelDeterministicPartitioned: cancelling a partitioned
-// (merged-mode) run from inside the simulation stops at a deterministic
-// event boundary — identical executed count, virtual time and trace prefix
-// at every worker count — and a resumed run completes to the uncancelled
-// reference trace.
-func TestRunCtxCancelDeterministicPartitioned(t *testing.T) {
+// TestRunCtxCancelDeterministic: cancelling a run from inside the
+// simulation stops at a deterministic event boundary — identical executed
+// count, virtual time and trace prefix on every repeat — and a resumed run
+// completes to the uncancelled reference trace.
+func TestRunCtxCancelDeterministic(t *testing.T) {
 	const steps = 600
 	// The reference engine runs to completion without cancellation.
 	var ref []uint64
 	refEng := NewEngine()
-	mergedChains(refEng, steps, 1, &ref, nil)
+	chains(refEng, steps, &ref, nil)
 	refEng.Run()
 
-	partial := func(workers int) (uint64, Time, []uint64, []uint64) {
+	partial := func() (uint64, Time, []uint64, []uint64) {
 		e := NewEngine()
 		var log []uint64
 		ctx, cancel := context.WithCancel(context.Background())
-		mergedChains(e, steps, workers, &log, func(total int) {
+		chains(e, steps, &log, func(total int) {
 			if total == 1000 {
 				cancel()
 			}
 		})
 		if err := e.RunCtx(ctx); err != context.Canceled {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		executed, now := e.Executed(), e.Now()
 		prefix := append([]uint64(nil), log...)
 		if err := e.RunCtx(context.Background()); err != nil {
-			t.Fatalf("workers=%d resume: %v", workers, err)
+			t.Fatalf("resume: %v", err)
 		}
 		return executed, now, prefix, log
 	}
 
-	exec1, now1, prefix1, full1 := partial(1)
+	exec1, now1, prefix1, full1 := partial()
 	if exec1 == 0 || int(exec1) >= 4*steps {
 		t.Fatalf("cancellation did not strike mid-run: executed=%d of %d", exec1, 4*steps)
 	}
 	if !logsEqual(full1, ref) {
 		t.Fatalf("resumed run diverged from the uncancelled reference")
 	}
-	for _, w := range []int{2, 4} {
-		execW, nowW, prefixW, fullW := partial(w)
-		if execW != exec1 || nowW != now1 {
-			t.Errorf("workers=%d: cancel point (executed=%d now=%d) differs from workers=1 (%d, %d)",
-				w, execW, nowW, exec1, now1)
-		}
-		if !logsEqual(prefixW, prefix1) {
-			t.Errorf("workers=%d: completed prefix differs from workers=1", w)
-		}
-		if !logsEqual(fullW, ref) {
-			t.Errorf("workers=%d: resumed run diverged from the reference", w)
-		}
-	}
-	// And the cancel point itself is reproducible.
-	execR, nowR, prefixR, _ := partial(2)
+	// The cancel point itself is reproducible.
+	execR, nowR, prefixR, _ := partial()
 	if execR != exec1 || nowR != now1 || !logsEqual(prefixR, prefix1) {
 		t.Errorf("repeat run cancelled at a different point: executed=%d now=%d", execR, nowR)
 	}
@@ -201,7 +178,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	const steps = 400
 	runFull := func(e *Engine) []uint64 {
 		var log []uint64
-		mergedChains(e, steps, 2, &log, nil)
+		chains(e, steps, &log, nil)
 		e.Spawn("waiter", func(p *Proc) { p.Park() })
 		e.Run()
 		return log
@@ -214,7 +191,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	e := pool.Get()
 	var log []uint64
 	ctx, cancel := context.WithCancel(context.Background())
-	mergedChains(e, steps, 2, &log, func(total int) {
+	chains(e, steps, &log, func(total int) {
 		if total == 500 {
 			cancel()
 		}
@@ -223,7 +200,7 @@ func TestRunCtxCancelPoolReuse(t *testing.T) {
 	if err := e.RunCtx(ctx); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	pool.Put(e) // Reset: unwinds the parked proc, drops the partitioning
+	pool.Put(e) // Reset: unwinds the parked proc
 	if n := e.LiveProcs(); n != 0 {
 		t.Fatalf("LiveProcs = %d after Put, want 0", n)
 	}

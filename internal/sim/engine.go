@@ -7,17 +7,12 @@
 // protocol code (e.g. a kernel thread performing an inter-kernel call) be
 // written in a natural blocking style while the simulation stays
 // deterministic.
-//
-// The pending-event store can be partitioned into Domains (domain.go) for
-// conservative parallel discrete-event simulation; a fresh engine has a
-// single domain and runs on the sequential fast path throughout.
 package sim
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a point in virtual time, measured in cycles.
@@ -42,7 +37,7 @@ func eventLess(a, b *event) bool {
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // use NewEngine.
 //
-// Each domain's pending-event store has two lanes (see Domain in domain.go):
+// The pending-event store has two lanes:
 //
 //   - heap: a monomorphic inline 4-ary min-heap over []event, ordered by
 //     (at, seq), holding events scheduled for a strictly later instant.
@@ -56,35 +51,20 @@ func eventLess(a, b *event) bool {
 // at == now, and any heap event at the same instant was necessarily scheduled
 // before time advanced to that instant (while now was smaller), so its seq is
 // lower than every lane event's — the heap drains first at each instant (see
-// Domain.pop). Time only advances while the lane is empty, so the lane never
-// holds stale timestamps.
+// pop). Time only advances while the lane is empty, so the lane never holds
+// stale timestamps.
 type Engine struct {
 	now      Time
+	heap     []event
+	fifo     []event
+	fifoHead int
 	seq      uint64
 	executed uint64
 	limit    uint64 // safety valve: max events executed, 0 = unlimited
 	killed   bool
-	// cur is the domain that context-free Schedule/Spawn/At calls route to:
-	// the domain whose event is currently executing, the root domain outside
-	// of runs. It is nil only while isolated rounds are in flight, when
-	// engine-level scheduling has no defined lane and panics.
-	cur *Domain
-	// root is domain 0, embedded so the common single-domain engine costs no
-	// extra allocation. doms stays nil on the sequential fast path and lists
-	// all domains (root first) once NewDomain has been called.
-	root Domain
-	doms []*Domain
-	// Isolated-rounds configuration (domain.go): worker-pool bound, the
-	// lookahead horizon slack, the isolation declaration, and the current
-	// round horizon (driver-written before dispatch, worker-read after —
-	// ordered by the work channel).
-	workers   int
-	lookahead Duration
-	isolated  bool
-	horizon   Time
-	// runWall accumulates wallclock spent inside multi-domain run loops; the
-	// denominator of DomainStats idle time.
-	runWall time.Duration
+	// allProcs registers every spawned proc so Kill can wake the live ones
+	// to unwind; it is engine-side state, appended by Spawn.
+	allProcs []*Proc
 	// procs counts live procs for leak diagnostics. It is atomic because on
 	// Kill all parked proc goroutines unwind concurrently, each decrementing
 	// it from its own goroutine.
@@ -96,10 +76,7 @@ type Engine struct {
 
 // NewEngine returns a ready-to-run engine with time at zero.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.root.eng = e
-	e.cur = &e.root
-	return e
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -111,29 +88,21 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // SetEventLimit caps the total number of events the engine may execute.
 // Zero (the default) means unlimited. SetEventLimit(n) means at most n
 // events: executing event n+1 panics (in Run and Step alike), which catches
-// runaway simulations in tests. Isolated rounds check the limit at their
-// barriers, so the panic there may lag by up to one round.
+// runaway simulations in tests.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
-// Schedule runs fn after d cycles of virtual time, on the lane of the
-// currently executing domain (the root domain when only one exists, so the
-// sequential behavior is unchanged). It may be called from event handlers
-// and from Procs; calling it after Kill is a no-op, calling it during
-// isolated rounds panics (use Domain.Schedule or the proc APIs there).
+// Schedule runs fn after d cycles of virtual time. It may be called from
+// event handlers and from Procs; calling it after Kill is a no-op.
 func (e *Engine) Schedule(d Duration, fn func()) {
 	if e.killed {
 		return
 	}
-	dm := e.cur
-	if dm == nil {
-		panic("sim: Engine.Schedule during isolated rounds (use Domain.Schedule or the proc APIs)")
-	}
 	e.seq++
 	if d == 0 {
-		dm.fifo = append(dm.fifo, event{at: e.now, seq: e.seq, fn: fn})
+		e.fifo = append(e.fifo, event{at: e.now, seq: e.seq, fn: fn})
 		return
 	}
-	dm.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
+	e.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
 }
 
 // At runs fn at absolute time t. Scheduling in the past panics: it would
@@ -145,28 +114,93 @@ func (e *Engine) At(t Time, fn func()) {
 	e.Schedule(t-e.now, fn)
 }
 
-// peek returns the next event in global (at, seq) order without removing it.
-func (e *Engine) peek() (event, bool) {
-	if e.doms == nil {
-		return e.root.peek(e.now)
+// heapPush inserts ev into the 4-ary heap (sift-up with a hole, one final
+// store instead of swaps).
+func (e *Engine) heapPush(ev event) {
+	h := append(e.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !eventLess(&ev, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	dm := e.minDomain()
-	if dm == nil {
-		return event{}, false
-	}
-	return dm.peek(e.now)
+	h[i] = ev
+	e.heap = h
 }
 
-// pop removes and returns the next event in global (at, seq) order, setting
-// the executing domain on the multi-domain path.
-func (e *Engine) pop() event {
-	if e.doms == nil {
-		return e.root.pop(e.now)
+// heapPop removes and returns the heap minimum (sift-down with a hole).
+func (e *Engine) heapPop() event {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the closure
+	h = h[:n]
+	e.heap = h
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			end := c + 4
+			if end > n {
+				end = n
+			}
+			min := c
+			for j := c + 1; j < end; j++ {
+				if eventLess(&h[j], &h[min]) {
+					min = j
+				}
+			}
+			if !eventLess(&h[min], &last) {
+				break
+			}
+			h[i] = h[min]
+			i = min
+		}
+		h[i] = last
 	}
-	dm := e.minDomain()
-	e.cur = dm
-	dm.events++
-	return dm.pop(e.now)
+	return top
+}
+
+// peek returns the next event in (at, seq) order without removing it.
+func (e *Engine) peek() (event, bool) {
+	if e.fifoHead < len(e.fifo) {
+		// Lane events run at e.now. A heap event at the same instant was
+		// scheduled before time advanced here, so its seq is lower: it wins.
+		if len(e.heap) > 0 && e.heap[0].at == e.now {
+			return e.heap[0], true
+		}
+		return e.fifo[e.fifoHead], true
+	}
+	if len(e.heap) > 0 {
+		return e.heap[0], true
+	}
+	return event{}, false
+}
+
+// pop removes and returns the next event in (at, seq) order.
+func (e *Engine) pop() event {
+	if e.fifoHead < len(e.fifo) {
+		if len(e.heap) > 0 && e.heap[0].at == e.now {
+			return e.heapPop()
+		}
+		ev := e.fifo[e.fifoHead]
+		e.fifo[e.fifoHead].fn = nil // release the closure
+		e.fifoHead++
+		if e.fifoHead == len(e.fifo) {
+			// Lane drained: rewind so the backing array is reused.
+			e.fifo = e.fifo[:0]
+			e.fifoHead = 0
+		}
+		return ev
+	}
+	return e.heapPop()
 }
 
 // runEvent enforces causality and the event limit, advances virtual time to
@@ -184,34 +218,21 @@ func (e *Engine) runEvent(ev event) {
 	e.executed++
 }
 
-// Run executes events until the queue is empty. On a partitioned engine that
-// declared isolation (SetIsolated) with a positive lookahead, Run uses the
-// concurrent barrier-synchronous rounds; otherwise the merged loop preserves
-// the exact sequential (time, seq) order.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	if e.doms != nil && e.isolated && e.lookahead > 0 {
-		e.runIsolated()
-		return
-	}
 	e.RunUntil(^Time(0))
 }
 
 // RunUntil executes events with timestamps <= t, advancing virtual time.
-// It returns when the queue is empty or the next event is beyond t. It
-// always uses order-preserving execution (sequential or merged), never the
-// isolated rounds — bounded runs need the exact global order.
+// It returns when the queue is empty or the next event is beyond t.
 func (e *Engine) RunUntil(t Time) {
-	if e.doms == nil {
-		dm := &e.root
-		for {
-			ev, ok := dm.peek(e.now)
-			if !ok || ev.at > t {
-				return
-			}
-			e.runEvent(dm.pop(e.now))
+	for {
+		ev, ok := e.peek()
+		if !ok || ev.at > t {
+			return
 		}
+		e.runEvent(e.pop())
 	}
-	e.runMerged(t)
 }
 
 // Step executes exactly one event if available and reports whether it did.
@@ -228,29 +249,17 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Pending returns the number of queued events across all domains, mailboxes
-// included.
-func (e *Engine) Pending() int {
-	if e.doms == nil {
-		return e.root.pending()
-	}
-	n := 0
-	for _, dm := range e.doms {
-		n += dm.pending()
-	}
-	return n
-}
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }
 
-// drain empties all queues, releasing the event closures but keeping the
+// drain empties both queues, releasing the event closures but keeping the
 // backing arrays so a pooled engine reuses its slabs.
 func (e *Engine) drain() {
-	if e.doms == nil {
-		e.root.drain()
-		return
-	}
-	for _, dm := range e.doms {
-		dm.drain()
-	}
+	clear(e.heap)
+	e.heap = e.heap[:0]
+	clear(e.fifo)
+	e.fifo = e.fifo[:0]
+	e.fifoHead = 0
 }
 
 // Kill terminates the simulation: parked Procs unwind and exit, and further
@@ -273,13 +282,13 @@ func (e *Engine) Kill() {
 	// happens-before the resume send) and unwinds. All procs are quiescent
 	// here — Kill runs on the engine side — so their resume buffers are
 	// empty and the sends cannot block.
-	if e.doms == nil {
-		e.root.killProcs()
-	} else {
-		for _, dm := range e.doms {
-			dm.killProcs()
+	for i, p := range e.allProcs {
+		if !p.dead.Load() {
+			p.resume <- struct{}{}
 		}
+		e.allProcs[i] = nil
 	}
+	e.allProcs = e.allProcs[:0]
 	e.unwound.Wait()
 }
 

@@ -21,15 +21,6 @@ func (e *Engine) Reset() {
 	e.executed = 0
 	e.limit = 0
 	e.killed = false
-	// Drop the partitioning: a recycled engine starts sequential again (the
-	// next experiment wires its own domains). Only the root's grown slabs
-	// survive, which is where the reuse win lives anyway.
-	e.doms = nil
-	e.workers, e.lookahead, e.isolated, e.horizon = 0, 0, false, 0
-	e.runWall = 0
-	e.root.rnow, e.root.rseq, e.root.busy, e.root.events = 0, 0, 0, 0
-	e.root.inbox = nil
-	e.cur = &e.root
 }
 
 // Pool recycles Engines across simulation runs. Short simulations (one

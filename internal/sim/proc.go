@@ -7,10 +7,8 @@ import (
 
 // Proc is a cooperative simulation process: a goroutine that runs under
 // strict handoff with the engine. At any instant at most one goroutine (the
-// engine or exactly one proc) executes — per domain: during isolated rounds
-// each domain's worker drives its own procs, which is safe because isolated
-// domains share no state — so simulations remain deterministic while
-// protocol code can block naturally via Sleep, Park, or Future.Wait.
+// engine or exactly one proc) executes, so simulations remain deterministic
+// while protocol code can block naturally via Sleep, Park, or Future.Wait.
 //
 // Procs must only interact with the engine (Schedule, Wake, ...) from within
 // their own body or from event handlers; the package is not safe for use
@@ -26,13 +24,10 @@ import (
 // flag after every wakeup.
 type Proc struct {
 	eng  *Engine
-	dom  *Domain
 	name string
 	// fault carries a panic out of the proc goroutine to the engine side,
-	// where step re-raises it on the goroutine driving the proc's domain
-	// (and therefore recoverable by callers such as the bench harness). It
-	// is per-proc, not per-engine, so domains faulting concurrently during
-	// isolated rounds never share it.
+	// where step re-raises it on the goroutine driving the simulation (and
+	// therefore recoverable by callers such as the bench harness).
 	fault  error
 	resume chan struct{} // capacity 1: engine -> proc "go"
 	parked chan struct{} // capacity 1: proc -> engine "back to you"
@@ -48,26 +43,13 @@ type Proc struct {
 // killed is the panic value used to unwind a proc when its engine is killed.
 type killed struct{}
 
-// Spawn creates a proc running fn on the currently executing domain (the
-// root domain when only one exists), starting at the current virtual time
+// Spawn creates a proc running fn, starting at the current virtual time
 // (after already-queued events at this timestamp). The name is used in
 // diagnostics only. Spawning on a killed engine returns an already-dead proc
-// whose body never runs. During isolated rounds use Domain.Spawn.
+// whose body never runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	if e.cur == nil {
-		panic("sim: Engine.Spawn during isolated rounds (use Domain.Spawn)")
-	}
-	return e.cur.Spawn(name, fn)
-}
-
-// Spawn creates a proc running fn on this domain: its handoff events ride
-// the domain's lane, and Sleep/Wake/Yield route back to it. During isolated
-// rounds it must only be called by the domain's own worker.
-func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
-	e := dm.eng
 	p := &Proc{
 		eng:    e,
-		dom:    dm,
 		name:   name,
 		resume: make(chan struct{}, 1),
 		parked: make(chan struct{}, 1),
@@ -77,14 +59,14 @@ func (dm *Domain) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.dead.Store(true)
 		return p
 	}
-	dm.procs = append(dm.procs, p)
+	e.allProcs = append(e.allProcs, p)
 	e.procs.Add(1)
 	e.unwound.Add(1)
 	// The goroutine starts immediately but blocks in waitResume until the
 	// scheduled handoff below (or until Kill wakes it to unwind, even if
 	// that handoff never runs because the engine was killed first).
 	go p.top(fn)
-	dm.Schedule(0, p.stepFn)
+	e.Schedule(0, p.stepFn)
 	return p
 }
 
@@ -102,7 +84,7 @@ func (p *Proc) top(fn func(p *Proc)) {
 				return
 			}
 			// Real panic in simulation code: hand it to the engine side,
-			// which re-raises it on the goroutine driving the proc's domain
+			// which re-raises it on the goroutine driving the simulation
 			// — recoverable by callers (e.g. the bench harness captures it
 			// as a failed experiment) — instead of crashing the process from
 			// this goroutine. A real panic implies the proc was running,
@@ -159,16 +141,12 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this proc runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Domain returns the domain this proc runs on.
-func (p *Proc) Domain() *Domain { return p.dom }
-
-// Now returns the current virtual time (the proc's domain clock, so it is
-// correct during isolated rounds too).
-func (p *Proc) Now() Time { return p.dom.Now() }
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep blocks the proc for d cycles of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.dom.Schedule(d, p.stepFn)
+	p.eng.Schedule(d, p.stepFn)
 	p.park()
 }
 
@@ -181,17 +159,15 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // this way and never woken leaks until Engine.Kill.
 func (p *Proc) Park() { p.park() }
 
-// Wake schedules the proc to resume at the current virtual time, on the
-// proc's own domain lane. It must be called from the engine side or from
-// another proc; waking an unparked or dead proc is a bug and will
-// desynchronize the handoff protocol, so callers must track parked state
-// (Future and Semaphore do this for you). During isolated rounds only the
-// proc's own domain may wake it.
+// Wake schedules the proc to resume at the current virtual time. It must be
+// called from the engine side or from another proc; waking an unparked or
+// dead proc is a bug and will desynchronize the handoff protocol, so callers
+// must track parked state (Future and Semaphore do this for you).
 func (p *Proc) Wake() {
-	p.dom.Schedule(0, p.stepFn)
+	p.eng.Schedule(0, p.stepFn)
 }
 
 // WakeAfter schedules the proc to resume after d cycles.
 func (p *Proc) WakeAfter(d Duration) {
-	p.dom.Schedule(d, p.stepFn)
+	p.eng.Schedule(d, p.stepFn)
 }

@@ -112,61 +112,6 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// partEngine drives the same schedule through a partitioned engine: every
-// Schedule call is routed round-robin onto one of D domains. Outside
-// isolated rounds Domain.Schedule keeps the engine-global (time, seq)
-// stamping, so the merged run loop must execute the exact reference order no
-// matter how the events were scattered over lanes.
-type partEngine struct {
-	eng  *Engine
-	doms []*Domain
-	next int
-}
-
-func newPartEngine(domains int) *partEngine {
-	e := NewEngine()
-	doms := make([]*Domain, domains)
-	for i := 1; i < domains; i++ {
-		doms[i] = e.NewDomain()
-	}
-	doms[0] = e.Domain(0)
-	return &partEngine{eng: e, doms: doms}
-}
-
-func (pe *partEngine) Schedule(d Duration, fn func()) {
-	dm := pe.doms[pe.next%len(pe.doms)]
-	pe.next++
-	dm.Schedule(d, fn)
-}
-
-func (pe *partEngine) Now() Time { return pe.eng.Now() }
-func (pe *partEngine) Run()      { pe.eng.Run() }
-
-// TestPartitionedQueueMatchesReference: the PR 2 property test generalized to
-// the partitioned engine — for many seeds and domain counts, the merged
-// multi-domain run loop executes the identical (id, time) stream as the
-// reference single heap, even though consecutive events (including
-// same-instant lane entries and parent/child edges) land on different
-// domains.
-func TestPartitionedQueueMatchesReference(t *testing.T) {
-	for _, domains := range []int{1, 2, 4} {
-		for seed := int64(1); seed <= 25; seed++ {
-			got := driveQueue(newPartEngine(domains), seed)
-			want := driveQueue(&refEngine{}, seed)
-			if len(got) != len(want) {
-				t.Fatalf("domains %d seed %d: trace lengths differ: %d vs %d",
-					domains, seed, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("domains %d seed %d: traces diverge at %d: partitioned %v, reference %v",
-						domains, seed, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestQueueHeapBeatsLaneAtSameInstant: an event scheduled from an earlier
 // instant for time T (living in the heap) runs before any event scheduled
 // at time T for time T (living in the same-instant lane), because its

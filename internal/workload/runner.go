@@ -26,12 +26,6 @@ type Config struct {
 	// kills the engine on return), so it must not be shared across Runs
 	// without a Reset in between.
 	Engine *sim.Engine
-	// SimWorkers partitions the engine's event queue per kernel block; see
-	// core.Config.SimWorkers. Metrics are byte-identical at any setting.
-	SimWorkers int
-	// SimMode selects merged (default, byte-identical) or rounds execution;
-	// see core.Config.SimMode.
-	SimMode string
 }
 
 // Result aggregates one experiment run.
@@ -167,13 +161,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	userPEs := cfg.Services + cfg.Instances
 	sys, err := core.NewSystem(core.Config{
-		Kernels:    cfg.Kernels,
-		UserPEs:    userPEs,
-		MemPEs:     1 + cfg.Services/8,
-		MemBytes:   1 << 40, // accounting only; backing is lazily allocated
-		Engine:     cfg.Engine,
-		SimWorkers: cfg.SimWorkers,
-		SimMode:    cfg.SimMode,
+		Kernels:  cfg.Kernels,
+		UserPEs:  userPEs,
+		MemPEs:   1 + cfg.Services/8,
+		MemBytes: 1 << 40, // accounting only; backing is lazily allocated
+		Engine:   cfg.Engine,
 	})
 	if err != nil {
 		return nil, err
@@ -196,7 +188,6 @@ func Run(cfg Config) (*Result, error) {
 	// Services: spawn each with the preloads of its assigned instances.
 	ready := make([]*sim.Future[*m3fs.FS], cfg.Services)
 	var allReady sim.WaitGroup
-	allReady.Bind(sys.Eng) // home the waitgroup for cross-domain waiters
 	allReady.Add(cfg.Services)
 	for j := 0; j < cfg.Services; j++ {
 		j := j
