@@ -374,9 +374,14 @@ type vpeSpace struct {
 	live int
 }
 
+// ensure grows the selector table to cover sel. AllocSel hands selectors out
+// in order, so this usually appends one entry. It appends zeros one at a
+// time rather than append(sp.sel, make(...)...): race-instrumented builds
+// skip the compiler's in-place rewrite of that idiom and heap-allocate the
+// make'd slice on every call.
 func (sp *vpeSpace) ensure(sel Selector) {
 	for int(sel) >= len(sp.sel) {
-		sp.sel = append(sp.sel, make([]uint32, int(sel)+1-len(sp.sel))...)
+		sp.sel = append(sp.sel, 0)
 	}
 }
 

@@ -528,7 +528,7 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 
 // WaitVec blocks the proc until at least one message is queued at receive
 // endpoint ep and drains the whole queue — one park/wake cycle (one
-// goroutine handoff) for however many messages have accumulated, the
+// proc handoff) for however many messages have accumulated, the
 // consumer-side half of coalesced delivery.
 func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
 	checkEP(ep)

@@ -2,18 +2,14 @@
 //
 // The engine models virtual time in cycles. Events are ordered by
 // (time, sequence number) so that runs are bit-reproducible. On top of the
-// raw event queue the package offers cooperative processes (Proc): goroutines
-// that run one at a time under strict handoff with the engine, which lets
-// protocol code (e.g. a kernel thread performing an inter-kernel call) be
+// raw event queue the package offers cooperative processes (Proc):
+// coroutines that the engine resumes one at a time from event handlers, which
+// lets protocol code (e.g. a kernel thread performing an inter-kernel call) be
 // written in a natural blocking style while the simulation stays
 // deterministic.
 package sim
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Time is a point in virtual time, measured in cycles.
 type Time uint64
@@ -62,16 +58,9 @@ type Engine struct {
 	executed uint64
 	limit    uint64 // safety valve: max events executed, 0 = unlimited
 	killed   bool
-	// allProcs registers every spawned proc so Kill can wake the live ones
-	// to unwind; it is engine-side state, appended by Spawn.
+	// allProcs registers every spawned proc so Kill can stop the live ones.
 	allProcs []*Proc
-	// procs counts live procs for leak diagnostics. It is atomic because on
-	// Kill all parked proc goroutines unwind concurrently, each decrementing
-	// it from its own goroutine.
-	procs atomic.Int64
-	// unwound is joined by Kill so that every proc goroutine has fully
-	// exited (and procs has settled) before Kill returns.
-	unwound sync.WaitGroup
+	procs    int // live procs, for leak diagnostics
 }
 
 // NewEngine returns a ready-to-run engine with time at zero.
@@ -134,7 +123,7 @@ func (e *Engine) heapPush(ev event) {
 // heapPop removes and returns the heap minimum (sift-down with a hole).
 func (e *Engine) heapPop() event {
 	h := e.heap
-	top := h[0]
+	root := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // release the closure
@@ -165,7 +154,7 @@ func (e *Engine) heapPop() event {
 		}
 		h[i] = last
 	}
-	return top
+	return root
 }
 
 // peek returns the next event in (at, seq) order without removing it.
@@ -263,13 +252,14 @@ func (e *Engine) drain() {
 }
 
 // Kill terminates the simulation: parked Procs unwind and exit, and further
-// Schedule calls are ignored. Call it when a simulation is finished to avoid
-// leaking goroutines for procs that are still parked (e.g. server loops).
+// Schedule calls are ignored. Call it when a simulation is finished, so that
+// procs still parked (e.g. server loops) do not leak their coroutines.
 //
-// Kill blocks until every proc goroutine has exited, so LiveProcs is exact
-// afterwards. It must be called from the engine side (between events or
-// after Run), never from within a Proc body — a proc killing its own engine
-// would wait for itself.
+// Kill stops every live proc in turn, running each parked body's defers to
+// completion; procs that were spawned but never stepped are dropped without
+// running. LiveProcs is therefore zero afterwards. Kill must be called from
+// the engine side (between events or after Run), never from within a Proc
+// body.
 func (e *Engine) Kill() {
 	if e.killed {
 		return
@@ -278,20 +268,16 @@ func (e *Engine) Kill() {
 	// Drain remaining events so parked procs that were about to be resumed
 	// are not left half-woken.
 	e.drain()
-	// Wake every live proc: each observes killed (the write above
-	// happens-before the resume send) and unwinds. All procs are quiescent
-	// here — Kill runs on the engine side — so their resume buffers are
-	// empty and the sends cannot block.
 	for i, p := range e.allProcs {
-		if !p.dead.Load() {
-			p.resume <- struct{}{}
+		if p.stop != nil {
+			p.stop()
 		}
 		e.allProcs[i] = nil
 	}
 	e.allProcs = e.allProcs[:0]
-	e.unwound.Wait()
+	e.procs = 0 // stop drops never-started procs without their decrement
 }
 
 // LiveProcs returns the number of procs that have been spawned and have not
 // yet exited. Useful to detect leaks in tests.
-func (e *Engine) LiveProcs() int { return int(e.procs.Load()) }
+func (e *Engine) LiveProcs() int { return e.procs }

@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestKillManyParkedProcs is the regression test for the Engine.Kill data
-// race: hundreds of parked procs unwind concurrently on Kill, each
-// decrementing the live-proc counter from its own goroutine. Run with -race.
+// TestKillManyParkedProcs: Kill unwinds hundreds of parked procs, and the
+// live-proc counter is exact afterwards. Run with -race.
 func TestKillManyParkedProcs(t *testing.T) {
 	const n = 500
 	e := NewEngine()
@@ -23,7 +24,7 @@ func TestKillManyParkedProcs(t *testing.T) {
 		t.Fatalf("live procs = %d, want %d before Kill", got, n)
 	}
 	e.Kill()
-	// Kill joins the unwinding goroutines, so the counter is exact here.
+	// Kill has stopped every proc, so the counter is exact here.
 	if got := e.LiveProcs(); got != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", got)
 	}
@@ -33,8 +34,8 @@ func TestKillManyParkedProcs(t *testing.T) {
 }
 
 // TestKillBeforeRun kills an engine whose procs never got their first
-// handoff: the spawn events are drained, but the goroutines must still
-// unwind and the counter must settle.
+// handoff: the spawn events are drained, the bodies never run, and the
+// counter must settle.
 func TestKillBeforeRun(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 64; i++ {
@@ -49,7 +50,7 @@ func TestKillBeforeRun(t *testing.T) {
 }
 
 // TestKillWithReparkingDefer: a proc whose defer parks again (a cleanup
-// Sleep during unwind) must not deadlock Kill — parking on a killed engine
+// Sleep during unwind) must not hang Kill: once stopped, every park
 // re-panics instead of waiting for a handoff that will never come.
 func TestKillWithReparkingDefer(t *testing.T) {
 	e := NewEngine()
@@ -59,7 +60,7 @@ func TestKillWithReparkingDefer(t *testing.T) {
 		t.Error("parked proc resumed unexpectedly")
 	})
 	e.Run()
-	e.Kill() // must return, not hang on unwound.Wait
+	e.Kill() // must return
 	if got := e.LiveProcs(); got != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", got)
 	}
@@ -101,8 +102,8 @@ func TestManyEnginesConcurrently(t *testing.T) {
 
 // TestProcPanicPropagatesToEngineSide: a real panic inside a proc body is
 // re-raised on the goroutine driving the simulation (recoverable, e.g. by
-// the bench harness) instead of crashing the process from the proc
-// goroutine.
+// the bench harness) instead of crashing the process from the proc's own
+// coroutine.
 func TestProcPanicPropagatesToEngineSide(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("bad", func(p *Proc) {
@@ -125,4 +126,56 @@ func TestProcPanicPropagatesToEngineSide(t *testing.T) {
 	}()
 	e.Run()
 	t.Fatal("Run returned without panicking")
+}
+
+// TestKillLeaksNoGoroutines: each proc's coroutine holds a goroutine until
+// the body exits, and LiveProcs is only a counter, so a Kill or Reset that
+// forgot to stop a suspended coroutine would pass every other test. Parked
+// procs, procs spawned but never stepped and procs whose defer parks again
+// must all release their goroutines, on every engine.
+func TestKillLeaksNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	pool := NewPool()
+	engines := make([]*Engine, 4)
+	for i := range engines {
+		e := pool.Get()
+		engines[i] = e
+		for j := 0; j < 8; j++ {
+			e.Spawn("parked", func(p *Proc) { p.Park() })
+			e.Spawn("cleanup", func(p *Proc) {
+				defer p.Sleep(1)
+				p.Park()
+			})
+		}
+		e.Run()
+		for j := 0; j < 8; j++ {
+			e.Spawn("unstarted", func(p *Proc) { t.Error("unstarted proc ran") })
+		}
+	}
+	if got := runtime.NumGoroutine(); got < base+len(engines)*24 {
+		t.Fatalf("%d goroutines with %d procs suspended, baseline %d", got, len(engines)*24, base)
+	}
+	engines[0].Kill()
+	engines[1].Reset()
+	pool.Put(engines[2])
+	engines[3].Kill()
+	engines[3].Reset()
+	for _, e := range engines {
+		if got := e.LiveProcs(); got != 0 {
+			t.Errorf("live procs = %d, want 0", got)
+		}
+	}
+	// A stopped coroutine's goroutine exits during the switch back, so the
+	// count settles at once; the deadline only absorbs runtime noise.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		got := runtime.NumGoroutine()
+		if got <= base {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Kill/Reset, baseline %d", got, base)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -6,10 +6,10 @@ import "sync"
 // the event-queue backing arrays, so a recycled engine schedules into
 // already-grown slabs instead of re-growing them from scratch.
 //
-// Reset first Kills the engine (idempotent), so any still-parked procs unwind
-// and their goroutines are joined; afterwards the engine is live again: time,
-// sequence and event counters are zero, the event limit is cleared, and
-// Schedule/Spawn work as on a new engine.
+// Reset first Kills the engine (idempotent), so any still-parked procs
+// unwind; afterwards the engine is live again: time, sequence and event
+// counters are zero, the event limit is cleared, and Schedule/Spawn work as
+// on a new engine.
 //
 // Like Kill, Reset must be called from the engine side, never from within a
 // Proc body.

@@ -1,43 +1,39 @@
+//go:build go1.23
+
+// iter.Pull needs go1.23. The build constraint raises this file's language
+// version without bumping go.mod, which the perfbench module pins at go1.22.
+
 package sim
 
 import (
 	"fmt"
-	"sync/atomic"
+	"iter"
 )
 
-// Proc is a cooperative simulation process: a goroutine that runs under
-// strict handoff with the engine. At any instant at most one goroutine (the
-// engine or exactly one proc) executes, so simulations remain deterministic
-// while protocol code can block naturally via Sleep, Park, or Future.Wait.
+// Proc is a cooperative simulation process: a coroutine (iter.Pull) that
+// the engine resumes from an event handler and that runs until it parks
+// again. At any instant at most one of the engine and its procs executes, so
+// simulations remain deterministic while protocol code can block naturally
+// via Sleep, Park, or Future.Wait.
 //
 // Procs must only interact with the engine (Schedule, Wake, ...) from within
 // their own body or from event handlers; the package is not safe for use
 // from foreign OS threads.
-//
-// The handoff uses plain sends on capacity-1 channels, not selects: because
-// of the strict alternation (the engine only resumes a proc that is parked,
-// and a proc only parks while the engine waits for it), every send has a
-// waiting receiver or a free buffer slot, so no shutdown case is needed in
-// the hot path — this keeps the per-event cost to two channel operations.
-// Kill-time unwinding is driven from the engine side instead: Kill wakes
-// every live proc via its resume channel, and waitResume checks the killed
-// flag after every wakeup.
 type Proc struct {
 	eng  *Engine
 	name string
-	// fault carries a panic out of the proc goroutine to the engine side,
-	// where step re-raises it on the goroutine driving the simulation (and
-	// therefore recoverable by callers such as the bench harness).
-	fault  error
-	resume chan struct{} // capacity 1: engine -> proc "go"
-	parked chan struct{} // capacity 1: proc -> engine "back to you"
+	// next resumes the body until it parks or returns; stop unwinds a
+	// suspended body (and drops a never-started one). yield is the body's
+	// side of the switch: it returns false once stop has been called. All
+	// three are nil once the body has exited, and for a proc spawned on a
+	// killed engine.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// stepFn is p.step bound once at Spawn. Taking the method value inline
 	// (e.Schedule(d, p.step)) would allocate a fresh closure on every
 	// Sleep/Wake/Yield; binding it once makes the handoff allocation-free.
 	stepFn func()
-	// dead is atomic: it is set on the proc goroutine while unwinding, which
-	// on Engine.Kill happens concurrently across all parked procs.
-	dead atomic.Bool
 }
 
 // killed is the panic value used to unwind a proc when its engine is killed.
@@ -48,91 +44,49 @@ type killed struct{}
 // diagnostics only. Spawning on a killed engine returns an already-dead proc
 // whose body never runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}, 1),
-		parked: make(chan struct{}, 1),
-	}
+	p := &Proc{eng: e, name: name}
 	p.stepFn = p.step
 	if e.killed {
-		p.dead.Store(true)
 		return p
 	}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			// Release the coroutine, and with it fn and its captures: the
+			// engine keeps exited procs listed until Kill.
+			p.next, p.stop, p.yield = nil, nil, nil
+			e.procs--
+			// A panic while Kill unwinds the proc (killed{} or one from a
+			// defer) is dropped. iter.Pull re-raises any other in next(), on
+			// the goroutine driving the simulation, where callers such as
+			// the bench harness can recover it.
+			if r := recover(); r != nil && !e.killed {
+				panic(fmt.Errorf("sim: proc %q panicked: %v", p.name, r))
+			}
+		}()
+		fn(p)
+	})
 	e.allProcs = append(e.allProcs, p)
-	e.procs.Add(1)
-	e.unwound.Add(1)
-	// The goroutine starts immediately but blocks in waitResume until the
-	// scheduled handoff below (or until Kill wakes it to unwind, even if
-	// that handoff never runs because the engine was killed first).
-	go p.top(fn)
+	e.procs++
 	e.Schedule(0, p.stepFn)
 	return p
 }
 
-// top is the proc goroutine body: wait for the first handoff, run fn,
-// then hand control back for the last time.
-func (p *Proc) top(fn func(p *Proc)) {
-	defer func() {
-		p.dead.Store(true)
-		p.eng.procs.Add(-1)
-		defer p.eng.unwound.Done()
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				// Engine was killed: exit silently. Nobody is waiting in
-				// step() anymore, so do not hand back.
-				return
-			}
-			// Real panic in simulation code: hand it to the engine side,
-			// which re-raises it on the goroutine driving the simulation
-			// — recoverable by callers (e.g. the bench harness captures it
-			// as a failed experiment) — instead of crashing the process from
-			// this goroutine. A real panic implies the proc was running,
-			// so an engine-side step() is blocked on parked.
-			p.fault = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-		}
-		p.parked <- struct{}{}
-	}()
-	p.waitResume()
-	fn(p)
-}
-
-// step transfers control to the proc and blocks until it parks or exits.
-// It must be called from the engine side (an event handler). Events cannot
-// run after Kill (the queues are drained and Schedule is a no-op), so the
-// proc on the other end is always parked-or-dead, never unwinding.
+// step resumes the proc and returns when it parks or exits. It must be
+// called from the engine side (an event handler).
 func (p *Proc) step() {
-	if p.dead.Load() {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.parked
-	if f := p.fault; f != nil {
-		p.fault = nil
-		panic(f)
+	if p.next != nil {
+		p.next()
 	}
 }
 
-// waitResume blocks the proc goroutine until the engine hands control over,
-// unwinding instead if the wakeup came from Kill.
-func (p *Proc) waitResume() {
-	<-p.resume
-	if p.eng.killed {
-		panic(killed{})
-	}
-}
-
-// park hands control back to the engine and blocks until resumed. On a
-// killed engine it unwinds instead: nobody is in step() to receive the
-// parked token, so blocking would deadlock Kill. This path is reachable
-// when a proc defer parks again (e.g. a cleanup Sleep) while the proc is
-// already unwinding.
+// park hands control back to the engine until the next step. Once Kill has
+// stopped the proc, yield returns false and park unwinds the body instead,
+// also when a defer parks again (e.g. a cleanup Sleep) during that unwind.
 func (p *Proc) park() {
-	if p.eng.killed {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
-	p.parked <- struct{}{}
-	p.waitResume()
 }
 
 // Name returns the proc's diagnostic name.

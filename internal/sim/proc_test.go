@@ -84,7 +84,7 @@ func TestProcKillUnwindsParked(t *testing.T) {
 		t.Fatalf("live procs = %d, want 1 before Kill", e.LiveProcs())
 	}
 	e.Kill()
-	// Kill joins the unwinding goroutine, so the counter is exact afterwards
+	// Kill has unwound the proc, so the counter is exact afterwards
 	// and further runs are no-ops.
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live procs = %d, want 0 after Kill", e.LiveProcs())

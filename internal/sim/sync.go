@@ -72,14 +72,14 @@ func (f *Future[T]) Wait(p *Proc) T {
 // Semaphore is a counting semaphore with FIFO wakeup, used to model bounded
 // resources such as in-flight message slots or DTU credits.
 type Semaphore struct {
-	eng     *Engine
 	count   int
 	waiters []*Proc
 }
 
-// NewSemaphore returns a semaphore with the given initial count.
+// NewSemaphore returns a semaphore with the given initial count for procs of
+// engine e.
 func NewSemaphore(e *Engine, count int) *Semaphore {
-	return &Semaphore{eng: e, count: count}
+	return &Semaphore{count: count}
 }
 
 // Count returns the currently available units.
@@ -121,14 +121,13 @@ func (s *Semaphore) Release() {
 // analogue of a Go channel: Push never blocks, Pop parks until an element is
 // available.
 type Queue[T any] struct {
-	eng     *Engine
 	items   []T
 	waiters []*Proc
 }
 
-// NewQueue returns an empty queue bound to the engine.
+// NewQueue returns an empty queue for procs of engine e.
 func NewQueue[T any](e *Engine) *Queue[T] {
-	return &Queue[T]{eng: e}
+	return &Queue[T]{}
 }
 
 // Len returns the number of queued elements.
