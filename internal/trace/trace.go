@@ -23,9 +23,20 @@
 // find 3, SQLite 24, LevelDB 22, PostMark 38 per instance), and so that the
 // single-instance runtime approximates the paper's measured rates. The
 // tests assert the counts.
+//
+// The traces are constants, so All and ByName build them once per process
+// and hand every caller the same shared instances, which are read-only:
+// the harness replays them from many tasks at once, and one caller's write
+// would change every later run. The generators (Tar … PostMark) return
+// fresh copies for callers that want their own.
 package trace
 
-import "repro/internal/sim"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/sim"
+)
 
 // OpKind enumerates trace operations.
 type OpKind uint8
@@ -90,26 +101,44 @@ type Trace struct {
 	// TargetRuntime is the approximate single-instance runtime in cycles,
 	// derived from the paper's Table 4 single-instance rates.
 	TargetRuntime sim.Duration
+
+	// fpSizes is the extent-independent part of Footprint, computed on its
+	// first call: the size of every file incarnation, before rounding.
+	fpOnce  sync.Once
+	fpSizes []uint64
 }
 
 // Footprint returns the bytes of image space an instance needs: preloaded
 // files plus the high-water size of every path the trace writes, each
 // rounded up to whole extents. The filesystem's bump allocator never
 // reclaims extents, so unlinked files still count.
+//
+// The first call walks the trace once; later calls only round and sum, and
+// allocate nothing. The trace must not change after the first call.
 func (t *Trace) Footprint(extentBytes uint64) uint64 {
-	roundUp := func(n uint64) uint64 {
+	t.fpOnce.Do(t.computeFootprint)
+	total := extentBytes
+	for _, n := range t.fpSizes {
 		if n == 0 {
-			return extentBytes
+			total += extentBytes
+		} else {
+			total += (n + extentBytes - 1) / extentBytes * extentBytes
 		}
-		return (n + extentBytes - 1) / extentBytes * extentBytes
 	}
+	return total
+}
+
+// computeFootprint fills fpSizes with the high-water size of every path
+// the trace preloads or opens, plus the size of every incarnation it
+// unlinks.
+func (t *Trace) computeFootprint() {
 	high := make(map[string]uint64) // path -> high-water size
 	for _, f := range t.Files {
 		high[f.Path] = f.Size
 	}
 	slotPath := make(map[int]string)
 	slotPos := make(map[int]uint64)
-	var graveyard uint64
+	var sizes []uint64
 	for _, op := range t.Ops {
 		switch op.Kind {
 		case OpOpen:
@@ -131,15 +160,14 @@ func (t *Trace) Footprint(extentBytes uint64) uint64 {
 		case OpUnlink:
 			// The extents of an unlinked file are never reclaimed by the
 			// bump allocator; a re-created file gets fresh ones.
-			graveyard += roundUp(high[op.Path])
+			sizes = append(sizes, high[op.Path])
 			high[op.Path] = 0
 		}
 	}
-	total := graveyard
-	for _, size := range high {
-		total += roundUp(size)
+	for _, size := range high { // order is irrelevant: Footprint sums
+		sizes = append(sizes, size)
 	}
-	return total + extentBytes
+	t.fpSizes = sizes
 }
 
 // KiB and MiB sizes for readability.
@@ -148,14 +176,23 @@ const (
 	MiB = 1 << 20
 )
 
-// All returns every application trace, in the paper's Table 4 order.
-func All() []*Trace {
+// shared builds the process-wide trace instances on first use.
+var shared = sync.OnceValue(buildAll)
+
+func buildAll() []*Trace {
 	return []*Trace{Tar(), Untar(), Find(), SQLite(), LevelDB(), PostMark()}
 }
 
-// ByName returns the trace with the given name, or nil.
+// All returns every application trace, in the paper's Table 4 order. The
+// traces are the shared, read-only instances; the slice is the caller's
+// own.
+func All() []*Trace {
+	return slices.Clone(shared())
+}
+
+// ByName returns the shared, read-only trace with the given name, or nil.
 func ByName(name string) *Trace {
-	for _, t := range All() {
+	for _, t := range shared() {
 		if t.Name == name {
 			return t
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -151,5 +152,24 @@ func TestDeterminism(t *testing.T) {
 	m2, c2 := run()
 	if m1 != m2 || c1 != c2 {
 		t.Fatalf("nondeterministic: (%d,%d) vs (%d,%d)", m1, c1, m2, c2)
+	}
+}
+
+// TestSharedTracesStayIntact replays each shared trace (Run preloads every
+// service's image through Preload) and then checks that the shared trace
+// still equals a freshly generated one. The harness runs many tasks in one
+// process, so a write here would corrupt every later run.
+func TestSharedTracesStayIntact(t *testing.T) {
+	fresh := []*trace.Trace{trace.Tar(), trace.Untar(), trace.Find(), trace.SQLite(), trace.LevelDB(), trace.PostMark()}
+	for _, want := range fresh {
+		tr := trace.ByName(want.Name)
+		if _, err := Run(Config{Kernels: 2, Services: 2, Instances: 3, Trace: tr}); err != nil {
+			t.Fatalf("%s: %v", want.Name, err)
+		}
+		if tr.Name != want.Name || !reflect.DeepEqual(tr.Ops, want.Ops) ||
+			!reflect.DeepEqual(tr.Dirs, want.Dirs) || !reflect.DeepEqual(tr.Files, want.Files) ||
+			tr.WantCapOps != want.WantCapOps || tr.TargetRuntime != want.TargetRuntime {
+			t.Errorf("%s: shared trace modified by a run", want.Name)
+		}
 	}
 }
