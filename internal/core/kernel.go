@@ -255,44 +255,62 @@ func blockOn[T any](k *Kernel, p *sim.Proc, fut *sim.Future[T]) T {
 	return v
 }
 
-// pool is a lazily grown, bounded worker pool of kernel threads. Jobs are
-// closures run on cooperative procs.
+// pool is a lazily grown, bounded worker pool of kernel threads. Jobs run
+// on cooperative procs.
 type pool struct {
 	k       *Kernel
 	name    string
 	max     int
 	spawned int
-	q       *sim.Queue[func(p *sim.Proc)]
+	q       sim.Queue[job]
+}
+
+// job is one unit of pool work: a syscall message, or else a closure. A
+// syscall is the hottest job, so it travels as its message alone instead of
+// as a closure built per syscall.
+type job struct {
+	syscall *dtu.Message
+	fn      func(p *sim.Proc)
 }
 
 func newPool(k *Kernel, name string, max int) *pool {
-	return &pool{k: k, name: name, max: max, q: sim.NewQueue[func(p *sim.Proc)](k.sys.Eng)}
+	return &pool{k: k, name: name, max: max}
 }
 
-// submit enqueues a job, spawning a worker if none is idle and the pool
-// limit permits. If the pool is saturated the job waits in the queue — the
+// submit enqueues a closure job (see push).
+func (pl *pool) submit(fn func(p *sim.Proc)) { pl.push(job{fn: fn}) }
+
+// push enqueues a job, spawning a worker if none is idle and the pool limit
+// permits. If the pool is saturated the job waits in the queue — the
 // kernel's defense against request floods (paper §4.2).
-func (pl *pool) submit(job func(p *sim.Proc)) {
+func (pl *pool) push(j job) {
 	if pl.q.Waiters() == 0 && pl.spawned < pl.max {
 		pl.spawned++
 		name := fmt.Sprintf("k%d/%s%d", pl.k.id, pl.name, pl.spawned)
 		pl.k.sys.Eng.Spawn(name, func(p *sim.Proc) {
 			for {
 				j := pl.q.Pop(p)
-				j(p)
+				if j.syscall != nil {
+					pl.k.runSyscall(p, j.syscall)
+				} else {
+					j.fn(p)
+				}
 			}
 		})
 	}
-	pl.q.Push(job)
+	pl.q.Push(j)
 }
 
 // onSyscallMsg is the DTU handler for the kernel's syscall endpoints.
 func (k *Kernel) onSyscallMsg(m *dtu.Message) {
-	k.syscallPool.submit(func(p *sim.Proc) {
-		k.acquireCPU(p)
-		k.handleSyscall(p, m)
-		k.releaseCPU()
-	})
+	k.syscallPool.push(job{syscall: m})
+}
+
+// runSyscall handles one syscall message on a pool worker.
+func (k *Kernel) runSyscall(p *sim.Proc, m *dtu.Message) {
+	k.acquireCPU(p)
+	k.handleSyscall(p, m)
+	k.releaseCPU()
 }
 
 // createVPE registers a VPE with its group kernel, configures its DTU and

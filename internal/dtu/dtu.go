@@ -95,6 +95,19 @@ func (k EpKind) String() string {
 // until the receiver calls Reply, Ack or Free. Messages that arrived inside
 // a coalesced vector (SendVecTo) share one slot: it is freed when the last
 // sibling is freed.
+//
+// A Message is also its own NoC delivery event (see wire), so a message
+// transfer allocates the Message and nothing else:
+//
+//   - Send builds the Message and hands it to the NoC; on arrival it places
+//     itself into the destination endpoint.
+//   - Reply builds the reply Message, which on arrival returns the request's
+//     send credit and places itself into the sender's reply endpoint.
+//   - Ack frees the message's slot and sends the acked Message itself back
+//     across the NoC as the credit return.
+//
+// An injected duplicate (noc.Verdict.Dup) arrives as a distinct copy, taken
+// when the message is sent, exactly as a duplicated wire transfer would.
 type Message struct {
 	SrcPE   int
 	SrcEP   int
@@ -103,10 +116,44 @@ type Message struct {
 	Payload any
 	Size    int
 
+	// dstDTU and dstEP are the receive endpoint the message travels to and
+	// then occupies; dstEP is -1 for a reply that only returns a credit.
 	dstDTU *DTU
 	dstEP  int
-	freed  bool
-	vec    *vecMeta // non-nil for messages of a coalesced vector
+	// creditEP is the send endpoint at dstDTU whose credit a reply returns
+	// on arrival, -1 for none.
+	creditEP int
+	freed    bool
+	vec      *vecMeta // non-nil for messages of a coalesced vector
+}
+
+// wire is a Message in flight: the Action the NoC fires when it arrives.
+// The conversion from *Message is free, and keeping Fire off Message itself
+// keeps it out of the receiver's API.
+type wire Message
+
+// Fire delivers the message. A message that is already freed was acked: it
+// is the credit return, and restores the sender's credit.
+func (w *wire) Fire() {
+	m := (*Message)(w)
+	if m.freed {
+		m.dstDTU.fabric.dtus[m.SrcPE].restoreCredit(m.SrcEP)
+		return
+	}
+	d := m.dstDTU
+	if m.creditEP >= 0 {
+		d.restoreCredit(m.creditEP)
+	}
+	if m.dstEP >= 0 {
+		d.deliver(m.dstEP, m)
+	}
+}
+
+// Duplicate returns a distinct copy of the message in flight, for an
+// injected duplicate delivery (noc.Duplicator).
+func (w *wire) Duplicate() sim.Action {
+	c := *w
+	return &c
 }
 
 // vecMeta is the shared bookkeeping of one coalesced vector: the siblings
@@ -143,10 +190,9 @@ type endpoint struct {
 	// recv
 	slots      int
 	used       int
-	queue      []*Message
+	queue      sim.Queue[*Message] // arrived messages awaiting Fetch/Wait
 	handler    Handler
 	vecHandler VecHandler
-	waiters    []*sim.Proc
 
 	// mem
 	memPE   int
@@ -353,26 +399,21 @@ func (d *DTU) Send(ep int, payload any, size int, replyEP int, label uint64) err
 	}
 	e.credits--
 	d.stats.Sent++
-	// Endpoint state is captured now; the Message object is built inside
-	// the delivery closure so an injected duplicate delivery (see
-	// noc.Verdict.Dup) materializes as a distinct message, exactly as a
-	// duplicated wire transfer would.
-	msgLabel := e.label
-	if label != 0 {
-		msgLabel = label
+	if label == 0 {
+		label = e.label
 	}
-	srcEP := ep
-	dstPE, dstEP := e.dstPE, e.dstEP
-	d.fabric.net.Send(d.pe, dstPE, size+headerBytes, func() {
-		d.fabric.dtus[dstPE].deliver(dstEP, &Message{
-			SrcPE:   d.pe,
-			SrcEP:   srcEP,
-			ReplyEP: replyEP,
-			Label:   msgLabel,
-			Payload: payload,
-			Size:    size,
-		})
-	})
+	m := &Message{
+		SrcPE:    d.pe,
+		SrcEP:    ep,
+		ReplyEP:  replyEP,
+		Label:    label,
+		Payload:  payload,
+		Size:     size,
+		dstDTU:   d.fabric.dtus[e.dstPE],
+		dstEP:    e.dstEP,
+		creditEP: -1,
+	}
+	d.fabric.net.SendAction(d.pe, e.dstPE, size+headerBytes, (*wire)(m))
 	return nil
 }
 
@@ -389,8 +430,6 @@ func (d *DTU) deliver(ep int, msg *Message) {
 	}
 	e.used++
 	d.stats.Received++
-	msg.dstDTU = d
-	msg.dstEP = ep
 	if e.vecHandler != nil {
 		e.vecHandler([]*Message{msg})
 		return
@@ -399,12 +438,7 @@ func (d *DTU) deliver(ep int, msg *Message) {
 		e.handler(msg)
 		return
 	}
-	e.queue = append(e.queue, msg)
-	if len(e.waiters) > 0 {
-		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		w.Wake()
-	}
+	e.queue.Push(msg)
 }
 
 // SendVecTo transmits items as one coalesced transfer into (dstPE, dstEP),
@@ -487,12 +521,8 @@ func (d *DTU) deliverVec(ep int, msgs []*Message) {
 		}
 		return
 	}
-	e.queue = append(e.queue, msgs...)
-	wake := min(len(msgs), len(e.waiters))
-	for i := 0; i < wake; i++ {
-		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		w.Wake()
+	for _, m := range msgs {
+		e.queue.Push(m)
 	}
 }
 
@@ -501,11 +531,10 @@ func (d *DTU) deliverVec(ep int, msgs []*Message) {
 func (d *DTU) Fetch(ep int) *Message {
 	checkEP(ep)
 	e := &d.eps[ep]
-	if e.kind != EpRecv || len(e.queue) == 0 {
+	if e.kind != EpRecv {
 		return nil
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
+	m, _ := e.queue.TryPop()
 	return m
 }
 
@@ -517,13 +546,7 @@ func (d *DTU) Wait(p *sim.Proc, ep int) *Message {
 	if e.kind != EpRecv {
 		panic("dtu: Wait on non-recv endpoint")
 	}
-	for len(e.queue) == 0 {
-		e.waiters = append(e.waiters, p)
-		p.Park()
-	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	return m
+	return e.queue.Pop(p)
 }
 
 // WaitVec blocks the proc until at least one message is queued at receive
@@ -536,12 +559,10 @@ func (d *DTU) WaitVec(p *sim.Proc, ep int) []*Message {
 	if e.kind != EpRecv {
 		panic("dtu: WaitVec on non-recv endpoint")
 	}
-	for len(e.queue) == 0 {
-		e.waiters = append(e.waiters, p)
-		p.Park()
+	out := []*Message{e.queue.Pop(p)}
+	for m, ok := e.queue.TryPop(); ok; m, ok = e.queue.TryPop() {
+		out = append(out, m)
 	}
-	out := e.queue
-	e.queue = nil
 	return out
 }
 
@@ -558,24 +579,20 @@ func (d *DTU) Reply(msg *Message, payload any, size int) {
 		// wire noise.
 		return
 	}
-	restore := msg.vec == nil || msg.vec.remaining == 0
+	// Only SendVecTo builds vector messages, and they have neither a send
+	// nor a reply endpoint, so msg is a single message and its credit
+	// always returns.
 	reply := &Message{
-		SrcPE:   d.pe,
-		SrcEP:   msg.dstEP,
-		ReplyEP: -1,
-		Payload: payload,
-		Size:    size,
+		SrcPE:    d.pe,
+		SrcEP:    msg.dstEP,
+		ReplyEP:  -1,
+		Payload:  payload,
+		Size:     size,
+		dstDTU:   d.fabric.dtus[msg.SrcPE],
+		dstEP:    msg.ReplyEP,
+		creditEP: msg.SrcEP,
 	}
-	srcPE, srcEP, replyEP := msg.SrcPE, msg.SrcEP, msg.ReplyEP
-	d.fabric.net.Send(d.pe, srcPE, size+headerBytes, func() {
-		src := d.fabric.dtus[srcPE]
-		if restore {
-			src.restoreCredit(srcEP)
-		}
-		if replyEP >= 0 {
-			src.deliver(replyEP, reply)
-		}
-	})
+	d.fabric.net.SendAction(d.pe, msg.SrcPE, size+headerBytes, (*wire)(reply))
 }
 
 // Ack frees msg's slot without a payload reply; the sender's credit is
@@ -590,13 +607,8 @@ func (d *DTU) Ack(msg *Message) {
 	if msg.SrcEP < 0 {
 		return
 	}
-	restore := msg.vec == nil || msg.vec.remaining == 0
-	srcPE, srcEP := msg.SrcPE, msg.SrcEP
-	d.fabric.net.Send(d.pe, srcPE, headerBytes, func() {
-		if restore {
-			d.fabric.dtus[srcPE].restoreCredit(srcEP)
-		}
-	})
+	// msg is freed now, so it travels back as the credit return (wire.Fire).
+	d.fabric.net.SendAction(d.pe, msg.SrcPE, headerBytes, (*wire)(msg))
 }
 
 // Free releases msg's slot without any message back to the sender. It is

@@ -449,3 +449,116 @@ func TestPerEndpointLossBreakdown(t *testing.T) {
 		t.Fatalf("untouched endpoints accumulated losses: %v", st.EPLost[:4])
 	}
 }
+
+// roundTrip wires a request/reply channel from a to b: a server proc on b
+// answers every request with Reply, and a client proc on a acks every
+// reply. One call of the returned function sends one request and runs the
+// whole Send → Wait → Reply → Wait → Ack exchange to completion.
+func roundTrip(e *sim.Engine, a, b *DTU) func() {
+	const sendEP, recvEP, replyEP = 1, 2, 3
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	must(b.ConfigureRecv(b, recvEP, 4, nil))
+	must(a.ConfigureRecv(a, replyEP, 4, nil))
+	must(a.ConfigureSend(a, sendEP, b.PE(), recvEP, 1, 0))
+	e.Spawn("server", func(p *sim.Proc) {
+		for {
+			b.Reply(b.Wait(p, recvEP), nil, 8)
+		}
+	})
+	e.Spawn("client", func(p *sim.Proc) {
+		for {
+			a.Ack(a.Wait(p, replyEP))
+		}
+	})
+	return func() {
+		must(a.Send(sendEP, nil, 16, replyEP, 0))
+		e.Run()
+	}
+}
+
+// TestRoundTripAllocs gates the allocation-lean message path: a warmed
+// request/reply round trip allocates the two Messages and nothing else —
+// no delivery closures, no credit-return closures and no wait-queue growth.
+func TestRoundTripAllocs(t *testing.T) {
+	e, f := newFabric(t, 4)
+	defer e.Kill()
+	a, b := f.DTU(0), f.DTU(3)
+	trip := roundTrip(e, a, b)
+	trip() // warm: grow the event lanes and the endpoint queues
+	if got := testing.AllocsPerRun(50, trip); got > 2 {
+		t.Errorf("round trip allocates %.1f objects, want at most 2 (the two Messages)", got)
+	}
+	if a.Credits(1) != 1 {
+		t.Fatalf("credits after round trips = %d, want 1", a.Credits(1))
+	}
+}
+
+// dupInjector duplicates the messages whose 0-based Send index is in dup.
+type dupInjector struct {
+	dup   map[int]bool
+	calls int
+}
+
+func (d *dupInjector) Inspect(now sim.Time, src, dst, size int) noc.Verdict {
+	v := noc.Verdict{Dup: d.dup[d.calls]}
+	d.calls++
+	return v
+}
+
+// TestDuplicateDelivery: an injected duplicate of a Send arrives as a second,
+// distinct Message that is acked on its own, and duplicated replies and
+// credit returns never raise credits above the endpoint's maximum.
+func TestDuplicateDelivery(t *testing.T) {
+	e, f := newFabric(t, 4)
+	a, b := f.DTU(0), f.DTU(1)
+	b.ConfigureRecv(b, 2, 4, nil)
+	a.ConfigureRecv(a, 3, 4, nil)
+	a.ConfigureSend(a, 1, 1, 2, 2, 0)
+
+	// Wire messages in order: 0 request (dup), 1 and 2 the acks of both
+	// copies (the second dup).
+	f.Network().SetInjector(&dupInjector{dup: map[int]bool{0: true, 2: true}})
+	if err := a.Send(1, "req", 16, -1, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	m1, m2 := b.Fetch(2), b.Fetch(2)
+	if m1 == nil || m2 == nil || b.Fetch(2) != nil {
+		t.Fatalf("receiver got %v, %v; want exactly two copies", m1, m2)
+	}
+	if m1 == m2 {
+		t.Fatal("duplicate delivered the same *Message twice")
+	}
+	if m2.Payload.(string) != "req" || m2.SrcPE != 0 || m2.SrcEP != 1 {
+		t.Fatalf("bad duplicate: %+v", m2)
+	}
+	b.Ack(m1)
+	b.Ack(m2) // a distinct message: no "freed twice" panic
+	e.Run()
+	if got := a.Credits(1); got != 2 {
+		t.Fatalf("credits after acking both copies = %d, want 2 (the maximum)", got)
+	}
+
+	// Wire messages: 3 request, 4 its reply (dup).
+	f.Network().SetInjector(&dupInjector{dup: map[int]bool{1: true}})
+	a.Send(1, "req2", 16, 3, 0)
+	e.Run()
+	b.Reply(b.Fetch(2), "resp", 16)
+	e.Run()
+	r1, r2 := a.Fetch(3), a.Fetch(3)
+	if r1 == nil || r2 == nil || r1 == r2 {
+		t.Fatalf("reply copies %p, %p; want two distinct messages", r1, r2)
+	}
+	if r1.Payload.(string) != "resp" || r2.Payload.(string) != "resp" {
+		t.Fatalf("bad reply copies: %+v, %+v", r1, r2)
+	}
+	if got := a.Credits(1); got != 2 {
+		t.Fatalf("credits after a duplicated reply = %d, want 2 (the maximum)", got)
+	}
+	a.Free(r1)
+	a.Free(r2)
+}

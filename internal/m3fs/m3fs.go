@@ -250,32 +250,39 @@ func (fs *FS) Start(p *sim.Proc) error {
 
 // --- path handling ---------------------------------------------------------
 
-func splitPath(path string) []string {
-	var parts []string
-	for _, s := range strings.Split(path, "/") {
-		if s != "" {
-			parts = append(parts, s)
-		}
+// cutPath returns the first component of path, skipping empty components
+// (repeated, leading and trailing slashes), and the rest of the path after
+// it. part is empty when path has no components left. Both results are
+// substrings of path, so stepping through a path allocates nothing.
+func cutPath(path string) (part, rest string) {
+	for len(path) > 0 && path[0] == '/' {
+		path = path[1:]
 	}
-	return parts
+	if i := strings.IndexByte(path, '/'); i >= 0 {
+		return path[:i], path[i+1:]
+	}
+	return path, ""
 }
 
 // walk resolves a path to its parent directory and final name.
 func (fs *FS) walk(path string) (parent *dirNode, name string, n node) {
-	parts := splitPath(path)
-	if len(parts) == 0 {
+	part, rest := cutPath(path)
+	if part == "" {
 		return nil, "", fs.root
 	}
 	d := fs.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := d.entries[part].(*dirNode)
+	for {
+		next, more := cutPath(rest)
+		if next == "" {
+			return d, part, d.entries[part]
+		}
+		child, ok := d.entries[part].(*dirNode)
 		if !ok {
 			return nil, "", nil
 		}
-		d = next
+		d = child
+		part, rest = next, more
 	}
-	name = parts[len(parts)-1]
-	return d, name, d.entries[name]
 }
 
 // --- boot-time image construction -------------------------------------------
@@ -284,7 +291,7 @@ func (fs *FS) walk(path string) (parent *dirNode, name string, n node) {
 // simulated cost).
 func (fs *FS) MustMkdirAll(path string) {
 	d := fs.root
-	for _, part := range splitPath(path) {
+	for part, rest := cutPath(path); part != ""; part, rest = cutPath(rest) {
 		next, ok := d.entries[part]
 		if !ok {
 			nd := &dirNode{entries: make(map[string]node)}

@@ -66,7 +66,8 @@ type Stats struct {
 	Lost     uint64 // messages dropped by a receiver (no free slot) or by fault injection
 }
 
-type pairKey struct{ src, dst int }
+// pairKey packs a (src, dst) pair into one map key.
+func pairKey(src, dst int) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
 
 // Verdict is a fault injector's decision about one message: drop it,
 // deliver it twice, and/or delay its arrival by Delay cycles. The zero
@@ -85,6 +86,14 @@ type Injector interface {
 	Inspect(now sim.Time, src, dst, size int) Verdict
 }
 
+// Duplicator is implemented by delivery actions that carry per-message
+// state. When the injector duplicates such a message, the copy fires the
+// action Duplicate returns, a distinct object taken at send time, instead of
+// the original action a second time.
+type Duplicator interface {
+	Duplicate() sim.Action
+}
+
 // Network is the mesh instance. It is bound to a sim.Engine and delivers
 // messages by scheduling events.
 type Network struct {
@@ -93,7 +102,7 @@ type Network struct {
 	width  int
 	height int
 	// lastDeliver enforces per-pair FIFO ordering.
-	lastDeliver map[pairKey]sim.Time
+	lastDeliver map[uint64]sim.Time
 	// linkFree is the next-free time per directed link (contention mode).
 	linkFree map[int]sim.Time
 	stats    Stats
@@ -123,7 +132,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		cfg:         cfg,
 		width:       w,
 		height:      h,
-		lastDeliver: make(map[pairKey]sim.Time),
+		lastDeliver: make(map[uint64]sim.Time),
 		linkFree:    make(map[int]sim.Time),
 	}
 }
@@ -166,14 +175,22 @@ func (n *Network) Latency(src, dst, size int) sim.Duration {
 // Send transmits a message of size bytes from src to dst and invokes deliver
 // at the destination when it arrives. Delivery preserves per-(src,dst) FIFO
 // order. Send may be called from event handlers and procs.
+func (n *Network) Send(src, dst, size int, deliver func()) {
+	n.SendAction(src, dst, size, sim.Func(deliver))
+}
+
+// SendAction is Send with the delivery as an Action: act fires at the
+// destination when the message arrives. An object that already exists for
+// the message (a DTU message) can be its own delivery, so sending allocates
+// nothing.
 //
-// With an injector attached, a message may be dropped (deliver is never
-// invoked), duplicated (deliver is invoked twice, the copy strictly after
-// the original) or delayed. All outcomes keep per-pair FIFO: a delayed or
+// With an injector attached, a message may be dropped (act never fires),
+// duplicated (a second delivery strictly after the original; see
+// Duplicator) or delayed. All outcomes keep per-pair FIFO: a delayed or
 // duplicated message pushes the pair's delivery horizon forward, and a
 // dropped one still advances it to where it would have arrived — the wire
 // consumed the message even though nobody receives it.
-func (n *Network) Send(src, dst, size int, deliver func()) {
+func (n *Network) SendAction(src, dst, size int, act sim.Action) {
 	n.checkNode(src)
 	n.checkNode(dst)
 	n.stats.Messages++
@@ -191,7 +208,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) {
 		arrival = n.eng.Now() + n.Latency(src, dst, size)
 	}
 	arrival += v.Delay
-	key := pairKey{src, dst}
+	key := pairKey(src, dst)
 	if last, ok := n.lastDeliver[key]; ok && arrival < last {
 		arrival = last
 	}
@@ -200,7 +217,7 @@ func (n *Network) Send(src, dst, size int, deliver func()) {
 		n.stats.Lost++
 		return
 	}
-	n.eng.At(arrival, deliver)
+	n.eng.AtAction(arrival, act)
 	if v.Dup {
 		// The duplicate trails the original by at least one cycle so the
 		// receiver observes two distinct delivery events in a fixed order.
@@ -210,7 +227,11 @@ func (n *Network) Send(src, dst, size int, deliver func()) {
 		}
 		dupAt := arrival + gap
 		n.lastDeliver[key] = dupAt
-		n.eng.At(dupAt, deliver)
+		dup := act
+		if d, ok := act.(Duplicator); ok {
+			dup = d.Duplicate()
+		}
+		n.eng.AtAction(dupAt, dup)
 	}
 }
 

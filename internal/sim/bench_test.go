@@ -52,7 +52,7 @@ func BenchmarkScheduleRunHeapOnly(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures the Sleep/Wake path: one op is one full
-// proc handoff (Schedule of the pre-bound step, park, resume). This is the
+// proc handoff (Schedule of the proc itself, park, resume). This is the
 // path every simulated syscall, IKC and DTU transfer rides on.
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()

@@ -49,10 +49,10 @@ func (e *Engine) RunUntilCtx(ctx context.Context, t Time) error {
 			budget = ctxPollEvents
 		}
 		budget--
-		ev, ok := e.peek()
-		if !ok || ev.at > t {
+		ev, ok := e.popDue(t)
+		if !ok {
 			return nil
 		}
-		e.runEvent(e.pop())
+		e.runEvent(ev)
 	}
 }

@@ -7,6 +7,14 @@
 // lets protocol code (e.g. a kernel thread performing an inter-kernel call) be
 // written in a natural blocking style while the simulation stays
 // deterministic.
+//
+// An event carries an Action, an object with a Fire method. Objects that
+// already exist when the event is scheduled can be their own events: a *Proc
+// is the Action that resumes it, and the dtu package's messages deliver
+// themselves. Scheduling them allocates nothing. Plain closures go through
+// Func, which wraps a func() without allocating. The FIFO wait queues
+// (Semaphore, Queue) reuse their storage, so a warmed simulation's hot path
+// allocates only the objects its model creates.
 package sim
 
 import "fmt"
@@ -17,12 +25,22 @@ type Time uint64
 // Duration is a span of virtual time, measured in cycles.
 type Duration = Time
 
-// event is one scheduled callback. Events are totally ordered by (at, seq):
+// Action is what an event does when it runs.
+type Action interface{ Fire() }
+
+// Func adapts a plain function to an Action. The conversion allocates
+// nothing: a func value is pointer-shaped, so it fits the interface as is.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is one scheduled action. Events are totally ordered by (at, seq):
 // time first, then scheduling order within an instant.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	act Action
 }
 
 // eventLess is the queue's total order.
@@ -82,25 +100,31 @@ func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Schedule runs fn after d cycles of virtual time. It may be called from
 // event handlers and from Procs; calling it after Kill is a no-op.
-func (e *Engine) Schedule(d Duration, fn func()) {
+func (e *Engine) Schedule(d Duration, fn func()) { e.ScheduleAction(d, Func(fn)) }
+
+// ScheduleAction fires a after d cycles of virtual time, like Schedule.
+func (e *Engine) ScheduleAction(d Duration, a Action) {
 	if e.killed {
 		return
 	}
 	e.seq++
 	if d == 0 {
-		e.fifo = append(e.fifo, event{at: e.now, seq: e.seq, fn: fn})
+		e.fifo = append(e.fifo, event{at: e.now, seq: e.seq, act: a})
 		return
 	}
-	e.heapPush(event{at: e.now + d, seq: e.seq, fn: fn})
+	e.heapPush(event{at: e.now + d, seq: e.seq, act: a})
 }
 
 // At runs fn at absolute time t. Scheduling in the past panics: it would
 // silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) {
+func (e *Engine) At(t Time, fn func()) { e.AtAction(t, Func(fn)) }
+
+// AtAction fires a at absolute time t, like At.
+func (e *Engine) AtAction(t Time, a Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%d) is in the past (now=%d)", t, e.now))
 	}
-	e.Schedule(t-e.now, fn)
+	e.ScheduleAction(t-e.now, a)
 }
 
 // heapPush inserts ev into the 4-ary heap (sift-up with a hole, one final
@@ -126,7 +150,7 @@ func (e *Engine) heapPop() event {
 	root := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the closure
+	h[n] = event{} // release the action
 	h = h[:n]
 	e.heap = h
 	if n > 0 {
@@ -157,39 +181,34 @@ func (e *Engine) heapPop() event {
 	return root
 }
 
-// peek returns the next event in (at, seq) order without removing it.
-func (e *Engine) peek() (event, bool) {
+// popDue removes and returns the next event in (at, seq) order if it is due
+// by t, choosing between the lanes once.
+func (e *Engine) popDue(t Time) (event, bool) {
 	if e.fifoHead < len(e.fifo) {
-		// Lane events run at e.now. A heap event at the same instant was
-		// scheduled before time advanced here, so its seq is lower: it wins.
-		if len(e.heap) > 0 && e.heap[0].at == e.now {
-			return e.heap[0], true
+		// Lane events run at e.now, which is also the earliest a heap event
+		// can run.
+		if e.now > t {
+			return event{}, false
 		}
-		return e.fifo[e.fifoHead], true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0], true
-	}
-	return event{}, false
-}
-
-// pop removes and returns the next event in (at, seq) order.
-func (e *Engine) pop() event {
-	if e.fifoHead < len(e.fifo) {
+		// A heap event at the same instant was scheduled before time
+		// advanced here, so its seq is lower: it wins.
 		if len(e.heap) > 0 && e.heap[0].at == e.now {
-			return e.heapPop()
+			return e.heapPop(), true
 		}
 		ev := e.fifo[e.fifoHead]
-		e.fifo[e.fifoHead].fn = nil // release the closure
+		e.fifo[e.fifoHead].act = nil // release the action
 		e.fifoHead++
 		if e.fifoHead == len(e.fifo) {
 			// Lane drained: rewind so the backing array is reused.
 			e.fifo = e.fifo[:0]
 			e.fifoHead = 0
 		}
-		return ev
+		return ev, true
 	}
-	return e.heapPop()
+	if len(e.heap) == 0 || e.heap[0].at > t {
+		return event{}, false
+	}
+	return e.heapPop(), true
 }
 
 // runEvent enforces causality and the event limit, advances virtual time to
@@ -203,7 +222,7 @@ func (e *Engine) runEvent(ev event) {
 		panic(fmt.Sprintf("sim: event limit %d exceeded (possible livelock)", e.limit))
 	}
 	e.now = ev.at
-	ev.fn()
+	ev.act.Fire()
 	e.executed++
 }
 
@@ -216,11 +235,11 @@ func (e *Engine) Run() {
 // It returns when the queue is empty or the next event is beyond t.
 func (e *Engine) RunUntil(t Time) {
 	for {
-		ev, ok := e.peek()
-		if !ok || ev.at > t {
+		ev, ok := e.popDue(t)
+		if !ok {
 			return
 		}
-		e.runEvent(e.pop())
+		e.runEvent(ev)
 	}
 }
 
@@ -231,17 +250,18 @@ func (e *Engine) Step() bool {
 	if e.killed {
 		return false
 	}
-	if _, ok := e.peek(); !ok {
+	ev, ok := e.popDue(^Time(0))
+	if !ok {
 		return false
 	}
-	e.runEvent(e.pop())
+	e.runEvent(ev)
 	return true
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.heap) + len(e.fifo) - e.fifoHead }
 
-// drain empties both queues, releasing the event closures but keeping the
+// drain empties both queues, releasing the event actions but keeping the
 // backing arrays so a pooled engine reuses its slabs.
 func (e *Engine) drain() {
 	clear(e.heap)

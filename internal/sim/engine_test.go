@@ -72,6 +72,25 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilPastHorizon: a horizon behind the current time runs
+// nothing, not even events queued for the current instant.
+func TestEngineRunUntilPastHorizon(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(20, func() {})
+	e.RunUntil(20)
+	ran := 0
+	e.Schedule(0, func() { ran++ })
+	e.Schedule(5, func() { ran++ })
+	e.RunUntil(10)
+	if ran != 0 || e.Pending() != 2 {
+		t.Fatalf("ran = %d, pending = %d; want 0 and 2", ran, e.Pending())
+	}
+	e.RunUntil(20)
+	if ran != 1 || e.Pending() != 1 {
+		t.Fatalf("ran = %d, pending = %d; want 1 and 1", ran, e.Pending())
+	}
+}
+
 func TestEngineAtPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {
@@ -160,7 +179,7 @@ func TestEngineStepCausality(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {})
 	e.Run() // now = 10
-	e.heapPush(event{at: 5, seq: e.seq + 1, fn: func() {}})
+	e.heapPush(event{at: 5, seq: e.seq + 1, act: Func(func() {})})
 	defer func() {
 		if recover() == nil {
 			t.Error("Step executed an event in the past")

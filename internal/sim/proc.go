@@ -30,10 +30,6 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	// stepFn is p.step bound once at Spawn. Taking the method value inline
-	// (e.Schedule(d, p.step)) would allocate a fresh closure on every
-	// Sleep/Wake/Yield; binding it once makes the handoff allocation-free.
-	stepFn func()
 }
 
 // killed is the panic value used to unwind a proc when its engine is killed.
@@ -45,7 +41,6 @@ type killed struct{}
 // whose body never runs.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	p.stepFn = p.step
 	if e.killed {
 		return p
 	}
@@ -68,13 +63,15 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	})
 	e.allProcs = append(e.allProcs, p)
 	e.procs++
-	e.Schedule(0, p.stepFn)
+	e.ScheduleAction(0, p)
 	return p
 }
 
-// step resumes the proc and returns when it parks or exits. It must be
-// called from the engine side (an event handler).
-func (p *Proc) step() {
+// Fire resumes the proc and returns when it parks or exits. It makes *Proc
+// the Action that Spawn, Sleep and Wake schedule, so a handoff allocates
+// nothing. Only the engine may call it: resuming a proc that is not due
+// desynchronizes the handoff.
+func (p *Proc) Fire() {
 	if p.next != nil {
 		p.next()
 	}
@@ -100,7 +97,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep blocks the proc for d cycles of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.eng.Schedule(d, p.stepFn)
+	p.eng.ScheduleAction(d, p)
 	p.park()
 }
 
@@ -118,10 +115,10 @@ func (p *Proc) Park() { p.park() }
 // dead proc is a bug and will desynchronize the handoff protocol, so callers
 // must track parked state (Future and Semaphore do this for you).
 func (p *Proc) Wake() {
-	p.eng.Schedule(0, p.stepFn)
+	p.eng.ScheduleAction(0, p)
 }
 
 // WakeAfter schedules the proc to resume after d cycles.
 func (p *Proc) WakeAfter(d Duration) {
-	p.eng.Schedule(d, p.stepFn)
+	p.eng.ScheduleAction(d, p)
 }

@@ -42,7 +42,7 @@ func (h *refHeap) Pop() interface{} {
 
 func (r *refEngine) Schedule(d Duration, fn func()) {
 	r.seq++
-	heap.Push(&r.pq, event{at: r.now + d, seq: r.seq, fn: fn})
+	heap.Push(&r.pq, event{at: r.now + d, seq: r.seq, act: Func(fn)})
 }
 
 func (r *refEngine) Now() Time { return r.now }
@@ -51,7 +51,7 @@ func (r *refEngine) Run() {
 	for len(r.pq) > 0 {
 		ev := heap.Pop(&r.pq).(event)
 		r.now = ev.at
-		ev.fn()
+		ev.act.Fire()
 	}
 }
 

@@ -4,9 +4,12 @@ package sim
 // building block for call/reply protocols: the caller parks on Wait and the
 // reply handler fulfills the future via Complete, waking the caller.
 type Future[T any] struct {
-	done      bool
-	val       T
-	waiters   []*Proc
+	done bool
+	val  T
+	// waiter is the first waiter, held inline so that the common
+	// single-waiter Wait allocates nothing; later waiters go to more.
+	waiter    *Proc
+	more      []*Proc
 	callbacks []func(T)
 }
 
@@ -23,10 +26,14 @@ func (f *Future[T]) Complete(val T) {
 	}
 	f.done = true
 	f.val = val
-	for _, w := range f.waiters {
+	if f.waiter != nil {
+		f.waiter.Wake()
+		f.waiter = nil
+	}
+	for _, w := range f.more {
 		w.Wake()
 	}
-	f.waiters = nil
+	f.more = nil
 	for _, cb := range f.callbacks {
 		cb(val)
 	}
@@ -61,7 +68,11 @@ func (f *Future[T]) Wait(p *Proc) T {
 		return f.val
 	}
 	for !f.done {
-		f.waiters = append(f.waiters, p)
+		if f.waiter == nil {
+			f.waiter = p
+		} else {
+			f.more = append(f.more, p)
+		}
 		p.park()
 		// A spurious wake is impossible under the handoff discipline, but a
 		// proc can appear in the waiters list only once per park, so loop.
@@ -69,11 +80,46 @@ func (f *Future[T]) Wait(p *Proc) T {
 	return f.val
 }
 
+// fifo is a FIFO that reuses its backing array. pop advances a head index
+// and rewinds to the front when the queue drains; a push into a full array
+// whose popped prefix is at least half of it slides the live elements down
+// instead of growing. Popped slots are zeroed, so they pin no dead procs or
+// messages.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the head element; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
 // Semaphore is a counting semaphore with FIFO wakeup, used to model bounded
 // resources such as in-flight message slots or DTU credits.
 type Semaphore struct {
 	count   int
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewSemaphore returns a semaphore with the given initial count for procs of
@@ -86,7 +132,7 @@ func NewSemaphore(e *Engine, count int) *Semaphore {
 func (s *Semaphore) Count() int { return s.count }
 
 // Waiting returns the number of procs parked in Acquire.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
+func (s *Semaphore) Waiting() int { return s.waiters.len() }
 
 // TryAcquire takes one unit if available and reports success.
 func (s *Semaphore) TryAcquire() bool {
@@ -101,7 +147,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Wakeup order is FIFO.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.count == 0 {
-		s.waiters = append(s.waiters, p)
+		s.waiters.push(p)
 		p.park()
 	}
 	s.count--
@@ -110,19 +156,17 @@ func (s *Semaphore) Acquire(p *Proc) {
 // Release returns one unit and wakes the longest-waiting proc, if any.
 func (s *Semaphore) Release() {
 	s.count++
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		w.Wake()
+	if s.waiters.len() > 0 {
+		s.waiters.pop().Wake()
 	}
 }
 
 // Queue is an unbounded FIFO that procs can block on. It is the simulation
 // analogue of a Go channel: Push never blocks, Pop parks until an element is
-// available.
+// available. The zero value is an empty queue.
 type Queue[T any] struct {
-	items   []T
-	waiters []*Proc
+	items   fifo[T]
+	waiters fifo[*Proc]
 }
 
 // NewQueue returns an empty queue for procs of engine e.
@@ -131,43 +175,37 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 }
 
 // Len returns the number of queued elements.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Waiters returns the number of procs parked in Pop (idle consumers).
-func (q *Queue[T]) Waiters() int { return len(q.waiters) }
+func (q *Queue[T]) Waiters() int { return q.waiters.len() }
 
 // Push appends an element and wakes the longest-waiting consumer, if any.
 // It may be called from event handlers or procs.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		w.Wake()
+	q.items.push(v)
+	if q.waiters.len() > 0 {
+		q.waiters.pop().Wake()
 	}
 }
 
 // TryPop removes and returns the head element if present.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Pop removes and returns the head element, parking the proc until one is
 // available.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
+	for q.items.len() == 0 {
+		q.waiters.push(p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // WaitGroup tracks a set of outstanding operations; procs can park until the
@@ -189,7 +227,8 @@ func (wg *WaitGroup) Add(n int) {
 		for _, w := range wg.waiters {
 			w.Wake()
 		}
-		wg.waiters = nil
+		clear(wg.waiters)
+		wg.waiters = wg.waiters[:0]
 	}
 }
 

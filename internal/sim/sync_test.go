@@ -221,3 +221,25 @@ func TestQueueFIFOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFIFOReusesStorage: a FIFO that never drains keeps a bounded backing
+// array (popping slides the live elements down instead of regrowing), and
+// popped slots are cleared so they pin nothing.
+func TestFIFOReusesStorage(t *testing.T) {
+	var q fifo[*int]
+	for i := 0; i < 3; i++ {
+		q.push(new(int))
+	}
+	for i := 0; i < 10000; i++ {
+		q.push(new(int))
+		q.pop()
+	}
+	if q.len() != 3 || cap(q.buf) > 8 {
+		t.Fatalf("len %d cap %d after 10000 push/pop cycles, want len 3 and cap <= 8", q.len(), cap(q.buf))
+	}
+	for i, v := range q.buf[:q.head] {
+		if v != nil {
+			t.Fatalf("popped slot %d still holds %p", i, v)
+		}
+	}
+}
