@@ -39,14 +39,14 @@ func (k *Kernel) kernelOfVPE(p *sim.Proc, id int) (*Kernel, Errno) {
 
 // --- obtain --------------------------------------------------------------
 
-func (k *Kernel) sysObtainFrom(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysObtainFrom(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	owner, errno := k.kernelOfVPE(p, req.TargetVPE)
 	if errno != OK {
-		return &sysReply{Err: errno}
+		return sysReply{Err: errno}
 	}
 	if owner == k {
 		return k.obtainLocal(p, v, req.TargetVPE, req.TargetSel)
@@ -57,29 +57,29 @@ func (k *Kernel) sysObtainFrom(p *sim.Proc, req *sysRequest) *sysReply {
 // obtainLocal handles an obtain where both VPEs are in this kernel's group.
 // Overlapping exchanges serialize here because this kernel owns both
 // capability spaces (the "Serialized" case of Table 2).
-func (k *Kernel) obtainLocal(p *sim.Proc, v *VPE, srcVPE int, srcSel cap.Selector) *sysReply {
+func (k *Kernel) obtainLocal(p *sim.Proc, v *VPE, srcVPE int, srcSel cap.Selector) sysReply {
 	src := k.lookupSel(p, srcVPE, srcSel)
 	if src == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	if src.Marked {
 		// Deny exchanges of capabilities in revocation ("Pointless").
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	srcV := k.vpeOf(srcVPE)
 	if srcV == nil || srcV.exited {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	if !k.askVPE(p, srcV, ExchangeQuery{Obtain: true, PeerVPE: v.ID, Sel: srcSel}) {
-		return &sysReply{Err: ErrDenied}
+		return sysReply{Err: ErrDenied}
 	}
 	// Re-check after the consent round trip: the capability may have been
 	// revoked or the requester killed meanwhile.
 	if src != k.store.LookupSel(srcVPE, srcSel) || src.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	if v.exited {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	obj := deriveObject(src.Object)
 	child := &cap.Capability{
@@ -94,7 +94,7 @@ func (k *Kernel) obtainLocal(p *sim.Proc, v *VPE, srcVPE int, srcSel cap.Selecto
 	k.exec(p, k.sys.Cost.CapLink)
 	k.insertCap(p, child)
 	k.stats.Obtains++
-	return &sysReply{Sel: child.Sel}
+	return sysReply{Sel: child.Sel}
 }
 
 // inflightObtain tracks one spanning obtain whose reply is still in flight.
@@ -121,7 +121,7 @@ func exchangeID(pe, vpe int, object uint64) uint64 {
 // this kernel then creates the child. If the requester died while the
 // inter-kernel call was in flight, the child at the owner is an orphan and
 // a notification removes it (paper §4.3.2, case 1).
-func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, srcSel cap.Selector) *sysReply {
+func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, srcSel cap.Selector) sysReply {
 	objID := k.gen.NextID(v.PE, v.ID)
 	// Register before sending: the owner cannot link (and thus revoke-walk)
 	// the child key before it has seen this request.
@@ -139,7 +139,7 @@ func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, 
 	})
 	delete(k.inflightObtains, exID)
 	if rep.Err != OK {
-		return &sysReply{Err: rep.Err}
+		return sysReply{Err: rep.Err}
 	}
 	childKey := ddl.NewKey(v.PE, v.ID, rep.Object.ObjType(), objID)
 	if po.revoked {
@@ -147,13 +147,13 @@ func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, 
 		// flight: this kernel already confirmed the key as gone and the
 		// owner deleted the parent subtree. Inserting now would leak an
 		// unreachable orphan.
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	if v.exited {
 		// Orphaned: the owner linked a child that will never exist here.
 		k.stats.Orphans++
 		k.notifyUnlink(p, owner.id, rep.Key, childKey)
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	child := &cap.Capability{
 		Key:    childKey,
@@ -165,7 +165,7 @@ func (k *Kernel) obtainSpanning(p *sim.Proc, v *VPE, owner *Kernel, srcVPE int, 
 	}
 	k.insertCap(p, child)
 	k.stats.Obtains++
-	return &sysReply{Sel: child.Sel}
+	return sysReply{Sel: child.Sel}
 }
 
 // handleObtainReq runs at the owner kernel: consent, link the child key,
@@ -211,21 +211,21 @@ func (k *Kernel) handleUnlinkChild(p *sim.Proc, req *ikcRequest) {
 
 // --- delegate ------------------------------------------------------------
 
-func (k *Kernel) sysDelegateTo(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysDelegateTo(p *sim.Proc, req *sysRequest) sysReply {
 	v := k.vpeOf(req.VPE)
 	if v == nil {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	c := k.lookupSel(p, req.VPE, req.Sel)
 	if c == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	if c.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	dst, errno := k.kernelOfVPE(p, req.TargetVPE)
 	if errno != OK {
-		return &sysReply{Err: errno}
+		return sysReply{Err: errno}
 	}
 	if dst == k {
 		return k.delegateLocal(p, v, c, req.TargetVPE)
@@ -233,23 +233,23 @@ func (k *Kernel) sysDelegateTo(p *sim.Proc, req *sysRequest) *sysReply {
 	return k.delegateSpanning(p, v, c, dst, req.TargetVPE)
 }
 
-func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE int) *sysReply {
+func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE int) sysReply {
 	dstV := k.vpeOf(dstVPE)
 	if dstV == nil || dstV.exited {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	// The consent round trip is a preemption point and the store compacts
 	// removed slots, so re-resolve the parent by key afterwards.
 	cKey := c.Key
 	if !k.askVPE(p, dstV, ExchangeQuery{Obtain: false, PeerVPE: v.ID}) {
-		return &sysReply{Err: ErrDenied}
+		return sysReply{Err: ErrDenied}
 	}
 	cur := k.store.Lookup(cKey)
 	if cur == nil || cur.Marked {
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	if dstV.exited {
-		return &sysReply{Err: ErrVPEGone}
+		return sysReply{Err: ErrVPEGone}
 	}
 	obj := deriveObject(cur.Object)
 	child := &cap.Capability{
@@ -264,7 +264,7 @@ func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE in
 	k.exec(p, k.sys.Cost.CapLink)
 	k.insertCap(p, child)
 	k.stats.Delegates++
-	return &sysReply{Sel: child.Sel}
+	return sysReply{Sel: child.Sel}
 }
 
 // delegateSpanning runs the two-way handshake (paper §4.3.2, case 2):
@@ -274,7 +274,7 @@ func (k *Kernel) delegateLocal(p *sim.Proc, v *VPE, c *cap.Capability, dstVPE in
 //
 // Step 2 re-validates the parent so a delegator killed (and revoked) during
 // step 1 cannot leave a valid child behind — the "Invalid" case.
-func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *Kernel, dstVPE int) *sysReply {
+func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *Kernel, dstVPE int) sysReply {
 	parentKey := c.Key
 	obj := deriveObject(c.Object)
 	k.exec(p, k.sys.Cost.IKCMarshal)
@@ -286,7 +286,7 @@ func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *K
 		Perm:   c.Perm,
 	})
 	if rep.Err != OK {
-		return &sysReply{Err: rep.Err}
+		return sysReply{Err: rep.Err}
 	}
 	childKey := rep.Key
 	// Two-way handshake step 2: re-validate the parent.
@@ -295,9 +295,9 @@ func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *K
 	if cur == nil || cur.Marked || v.exited {
 		k.ikCall(p, dst.id, &ikcRequest{Kind: ikcDelegateAck, Child: childKey, Ok: false})
 		if cur == nil {
-			return &sysReply{Err: ErrNoSuchCap}
+			return sysReply{Err: ErrNoSuchCap}
 		}
-		return &sysReply{Err: ErrInRevocation}
+		return sysReply{Err: ErrInRevocation}
 	}
 	cur.AddChild(childKey)
 	k.exec(p, k.sys.Cost.CapLink)
@@ -309,10 +309,10 @@ func (k *Kernel) delegateSpanning(p *sim.Proc, v *VPE, c *cap.Capability, dst *K
 			again.RemoveChild(childKey)
 		}
 		k.stats.Orphans++
-		return &sysReply{Err: ack.Err}
+		return sysReply{Err: ack.Err}
 	}
 	k.stats.Delegates++
-	return &sysReply{}
+	return sysReply{}
 }
 
 // handleDelegateReq runs at the receiver's kernel: consent, prepare the

@@ -58,8 +58,7 @@ func (k *Kernel) ikSend(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ikcR
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
-	dk := k.sys.kernels[dst]
-	k.sys.Net.Send(k.pe, dk.pe, ikcMsgBytes, func() { dk.recvRequest(req) })
+	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
 		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
 	}
@@ -116,45 +115,105 @@ func (k *Kernel) ikNotify(p *sim.Proc, dst int, req *ikcRequest) *sim.Future[*ik
 		sem.Acquire(p)
 		k.acquireCPU(p)
 	}
-	dk := k.sys.kernels[dst]
-	k.sys.Net.Send(k.pe, dk.pe, ikcMsgBytes, func() { dk.recvRequest(req) })
+	k.sendRequest(k.sys.kernels[dst], req)
 	if k.rt != nil {
 		k.rt.track(dst, []*ikcRequest{req}, false, req.Kind)
 	}
 	return fut
 }
 
+// sendRequest puts req on the wire to kernel dk as a direct message. The
+// request is its own delivery event (requestWire), so sending allocates
+// nothing.
+func (k *Kernel) sendRequest(dk *Kernel, req *ikcRequest) {
+	req.to = dk
+	k.sys.Net.SendAction(k.pe, dk.pe, ikcMsgBytes, (*requestWire)(req))
+}
+
+// sendReply puts rep on the wire to kernel dk as a direct message, its own
+// delivery event like sendRequest's requests.
+func (k *Kernel) sendReply(dk *Kernel, rep *ikcReply) {
+	rep.to = dk
+	k.sys.Net.SendAction(k.pe, dk.pe, ikcRepBytes, (*replyWire)(rep))
+}
+
+// requestWire is a direct request in flight: the Action the NoC fires when
+// it reaches its destination kernel. It is not a noc.Duplicator, so an
+// injected duplicate delivers the same request twice, and the receiver's
+// dedup (reliability.go) suppresses the copy.
+type requestWire ikcRequest
+
+// Fire delivers the request to its destination kernel.
+func (w *requestWire) Fire() {
+	req := (*ikcRequest)(w)
+	req.to.recvRequest(req)
+}
+
+// replyWire is a direct reply in flight, delivered like requestWire; a
+// duplicate is a late reply for an already resolved seq (recvReply).
+type replyWire ikcReply
+
+// Fire delivers the reply to its destination kernel.
+func (w *replyWire) Fire() {
+	rep := (*ikcReply)(w)
+	rep.to.recvReply(rep)
+}
+
+// replyPost is a reply whose compose delay is running (ikReplyAsync): when
+// it fires, the reply leaves its sender, rep.From, for rep.to.
+type replyPost ikcReply
+
+// Fire sends the composed reply.
+func (w *replyPost) Fire() {
+	rep := (*ikcReply)(w)
+	rep.to.sys.kernels[rep.From].sendReply(rep.to, rep)
+}
+
+// creditReturn is a sender's in-flight semaphore viewed as the Action that
+// returns one credit to it (recvRequest, recvBatch).
+type creditReturn sim.Semaphore
+
+// Fire releases the credit.
+func (c *creditReturn) Fire() { (*sim.Semaphore)(c).Release() }
+
 // recvRequest runs at the receiving kernel when a request message arrives
 // (event context). Revoke requests go to the bounded revoke pool (at most
 // two threads, the paper's DoS defense); everything else to the general
-// inter-kernel pool.
+// inter-kernel pool. The job is the request itself; runRequest handles it.
 func (k *Kernel) recvRequest(req *ikcRequest) {
 	k.stats.IKCReceived++
-	job := func(p *sim.Proc) {
-		k.acquireCPU(p)
-		if !k.reliable() {
-			// Picking the message up frees its slot: return the in-flight
-			// credit to the sender. In reliable mode the credit instead
-			// returns when the sender's transmission resolves (onReply /
-			// abort in reliability.go) — a lost request must not leak it.
-			src := k.sys.kernels[req.From]
-			k.sys.Eng.Schedule(0, func() { src.inflightTo(k.id).Release() })
-		}
-		k.exec(p, k.sys.Cost.IKCDispatch)
-		if k.admitRequest(req) && k.dedupCheck(req) {
-			k.dispatchRequest(p, req)
-		}
-		// Dispatch barrier of the reply sink (see flushBatchReplies): a
-		// reply produced by this dispatch leaves now instead of waiting on
-		// an idle window timer. No-op for unbatched families.
-		k.xport.flushBatchReplies(req.From, req.Kind)
-		k.releaseCPU()
-	}
 	if req.Kind == ikcRevoke || req.Kind == ikcRevokeBatch {
-		k.revokePool.submit(job)
+		k.revokePool.push(job{ikc: req})
 	} else {
-		k.ikcPool.submit(job)
+		k.ikcPool.push(job{ikc: req})
 	}
+}
+
+// runRequest handles one received request on a pool worker.
+func (k *Kernel) runRequest(p *sim.Proc, req *ikcRequest) {
+	k.acquireCPU(p)
+	if !k.reliable() {
+		// Picking the message up frees its slot: return the in-flight
+		// credit to the sender. In reliable mode the credit instead
+		// returns when the sender's transmission resolves (onReply /
+		// abort in reliability.go) — a lost request must not leak it.
+		k.returnCredit(req.From)
+	}
+	k.exec(p, k.sys.Cost.IKCDispatch)
+	if k.admitRequest(req) && k.dedupCheck(req) {
+		k.dispatchRequest(p, req)
+	}
+	// Dispatch barrier of the reply sink (see flushBatchReplies): a
+	// reply produced by this dispatch leaves now instead of waiting on
+	// an idle window timer. No-op for unbatched families.
+	k.xport.flushBatchReplies(req.From, req.Kind)
+	k.releaseCPU()
+}
+
+// returnCredit gives kernel src back the in-flight credit its request to
+// this kernel held, in a zero-delay event.
+func (k *Kernel) returnCredit(src int) {
+	k.sys.Eng.ScheduleAction(0, (*creditReturn)(k.sys.kernels[src].inflightTo(k.id)))
 }
 
 // recvBatch runs at the receiving kernel when a coalesced envelope arrives
@@ -188,8 +247,7 @@ func (k *Kernel) recvBatch(msgs []*dtu.Message) {
 			k.dtu.Free(m)
 		}
 		if !k.reliable() {
-			src := k.sys.kernels[batch.From]
-			k.sys.Eng.Schedule(0, func() { src.inflightTo(k.id).Release() })
+			k.returnCredit(batch.From)
 		}
 		for _, req := range batch.Reqs {
 			k.exec(p, k.sys.Cost.IKCDispatch)
@@ -262,8 +320,7 @@ func (k *Kernel) ikReply(p *sim.Proc, req *ikcRequest, rep *ikcReply) {
 		return
 	}
 	k.stats.IKCRepSent++
-	src := k.sys.kernels[req.From]
-	k.sys.Net.Send(k.pe, src.pe, ikcRepBytes, func() { src.recvReply(rep) })
+	k.sendReply(k.sys.kernels[req.From], rep)
 }
 
 // ikReplyAsync sends a reply from event context (used by the
@@ -284,10 +341,8 @@ func (k *Kernel) ikReplyAsync(req *ikcRequest, rep *ikcReply) {
 	k.cacheReply(req.From, req.Seq, rep)
 	k.stats.Busy += k.sys.Cost.IKCCompose
 	k.stats.IKCRepSent++
-	src := k.sys.kernels[req.From]
-	k.sys.Eng.Schedule(k.sys.Cost.IKCCompose, func() {
-		k.sys.Net.Send(k.pe, src.pe, ikcRepBytes, func() { src.recvReply(rep) })
-	})
+	rep.to = k.sys.kernels[req.From]
+	k.sys.Eng.ScheduleAction(k.sys.Cost.IKCCompose, (*replyPost)(rep))
 }
 
 // recvReplyVec runs at the requesting kernel when a reply envelope arrives

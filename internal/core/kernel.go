@@ -265,11 +265,12 @@ type pool struct {
 	q       sim.Queue[job]
 }
 
-// job is one unit of pool work: a syscall message, or else a closure. A
-// syscall is the hottest job, so it travels as its message alone instead of
-// as a closure built per syscall.
+// job is one unit of pool work: a syscall message, an inter-kernel
+// request, or else a closure. Syscalls and requests are the hottest jobs, so
+// they travel as their message alone instead of as a closure built per job.
 type job struct {
 	syscall *dtu.Message
+	ikc     *ikcRequest
 	fn      func(p *sim.Proc)
 }
 
@@ -290,9 +291,12 @@ func (pl *pool) push(j job) {
 		pl.k.sys.Eng.Spawn(name, func(p *sim.Proc) {
 			for {
 				j := pl.q.Pop(p)
-				if j.syscall != nil {
+				switch {
+				case j.syscall != nil:
 					pl.k.runSyscall(p, j.syscall)
-				} else {
+				case j.ikc != nil:
+					pl.k.runRequest(p, j.ikc)
+				default:
 					j.fn(p)
 				}
 			}
@@ -360,16 +364,46 @@ func (k *Kernel) vpeOf(id int) *VPE {
 // Fig. 3 steps A.2/A.3). The kernel releases its CPU while the query
 // travels to the user PE and back.
 func (k *Kernel) askVPE(p *sim.Proc, v *VPE, q ExchangeQuery) bool {
-	fut := sim.NewFuture[bool](k.sys.Eng)
-	cost := k.sys.Cost
-	k.sys.Net.Send(k.pe, v.PE, vpeQueryBytes, func() {
-		// The VPE's exchange handler answers after its decision time.
-		ans := v.answerExchange(q)
-		k.sys.Eng.Schedule(cost.VPEAccept, func() {
-			k.sys.Net.Send(v.PE, k.pe, 16, func() { fut.Complete(ans.Accept) })
-		})
-	})
-	return blockOn(k, p, fut)
+	a := &vpeAsk{k: k, v: v, q: q, accept: k.sys.Cost.VPEAccept}
+	k.sys.Net.SendAction(k.pe, v.PE, vpeQueryBytes, a)
+	return blockOn(k, p, &a.fut)
+}
+
+// vpeAsk is one consent query in flight. It is the Action of each of its
+// three legs in turn, so the round trip allocates only this object: the
+// query arriving at the VPE, the VPE's decision time, and the answer
+// arriving back at the kernel. The user-PE links it travels are never
+// faulted, so no leg fires twice.
+type vpeAsk struct {
+	k      *Kernel
+	v      *VPE
+	q      ExchangeQuery
+	accept sim.Duration // the VPE's decision time
+	stage  uint8
+	ans    bool
+	fut    sim.Future[bool]
+}
+
+// The legs of a vpeAsk, in firing order.
+const (
+	askQuery  = iota // the query reaches the VPE, whose handler decides
+	askDecide        // the decision time has passed; the answer leaves
+	askAnswer        // the answer reaches the kernel
+)
+
+// Fire runs the leg the query has reached.
+func (a *vpeAsk) Fire() {
+	switch a.stage {
+	case askQuery:
+		a.ans = a.v.answerExchange(a.q).Accept
+		a.stage = askDecide
+		a.k.sys.Eng.ScheduleAction(a.accept, a)
+	case askDecide:
+		a.stage = askAnswer
+		a.k.sys.Net.SendAction(a.v.PE, a.k.pe, 16, a)
+	default:
+		a.fut.Complete(a.ans)
+	}
 }
 
 // mintKey creates a fresh DDL key whose partition belongs to this kernel.

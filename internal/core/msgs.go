@@ -129,11 +129,24 @@ type sysRequest struct {
 	Args      any    // opaque protocol arguments (service-defined)
 }
 
-// sysReply is the payload of a syscall reply.
+// sysReply is the kernel's answer to a sysRequest.
 type sysReply struct {
 	Err  Errno
 	Sel  cap.Selector
 	Args any
+}
+
+// sysCall is a VPE's syscall frame, embedded in the VPE: the VPE writes the
+// request, sends the frame as the syscall message's payload, and the kernel
+// answers by writing the reply into the same frame and sending it back. One
+// frame per VPE suffices because a VPE has a single syscall credit, so at
+// most one call is in flight, and the fault injector never touches user-PE
+// links, so the frame is never delivered twice. busy guards the first
+// property against a second proc issuing a call for the same VPE.
+type sysCall struct {
+	req  sysRequest
+	rep  sysReply
+	busy bool
 }
 
 // ikcKind enumerates the inter-kernel calls. They fall into the paper's
@@ -200,6 +213,9 @@ type ikcRequest struct {
 	ChildPE  int
 	ChildVPE int
 	ChildObj uint64
+
+	// to is the kernel a direct send delivers the request to (requestWire).
+	to *Kernel
 }
 
 // ikcBatch is the unified transport's aggregation envelope: N requests of
@@ -248,6 +264,9 @@ type ikcReply struct {
 	Perm   dtu.Perm
 	Ident  uint64
 	Args   any
+
+	// to is the kernel a direct send delivers the reply to (replyWire).
+	to *Kernel
 }
 
 // ExchangeQuery is delivered to a VPE when another VPE wants to exchange a

@@ -264,8 +264,7 @@ func (rt *relState) expire(xm *xmitState) {
 			must(k.dtu.SendVecTo(dk.pe, ikcBatchEP, env.items()))
 		} else {
 			for _, req := range live {
-				req := req
-				k.sys.Net.Send(k.pe, dk.pe, ikcMsgBytes, func() { dk.recvRequest(req) })
+				k.sendRequest(dk, req)
 			}
 		}
 	})
@@ -343,9 +342,7 @@ func (k *Kernel) dedupCheck(req *ikcRequest) bool {
 		k.stats.DupSuppressed++
 		if e.state == dedupDone && e.rep != nil {
 			k.stats.ReplayedReplies++
-			src := k.sys.kernels[req.From]
-			rep := e.rep
-			k.sys.Net.Send(k.pe, src.pe, ikcRepBytes, func() { src.recvReply(rep) })
+			k.sendReply(k.sys.kernels[req.From], e.rep)
 		}
 		return false
 	}

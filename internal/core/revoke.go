@@ -40,14 +40,14 @@ type revState struct {
 }
 
 // sysRevoke is the syscall entry point.
-func (k *Kernel) sysRevoke(p *sim.Proc, req *sysRequest) *sysReply {
+func (k *Kernel) sysRevoke(p *sim.Proc, req *sysRequest) sysReply {
 	c := k.lookupSel(p, req.VPE, req.Sel)
 	if c == nil {
-		return &sysReply{Err: ErrNoSuchCap}
+		return sysReply{Err: ErrNoSuchCap}
 	}
 	k.stats.Revokes++
 	k.revokeSubtree(p, c)
-	return &sysReply{}
+	return sysReply{}
 }
 
 // revokeSubtree revokes the subtree rooted at c and blocks until the

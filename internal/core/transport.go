@@ -502,8 +502,7 @@ func (t *transport) flushReplies(key rkey) {
 	k.stats.IKCRepSent++
 	dk := k.sys.kernels[key.dst]
 	if len(reps) == 1 {
-		rep := reps[0]
-		k.sys.Net.Send(k.pe, dk.pe, ikcRepBytes, func() { dk.recvReply(rep) })
+		k.sendReply(dk, reps[0])
 		return
 	}
 	k.stats.IKCRepBatches++

@@ -44,6 +44,9 @@ type VPE struct {
 
 	selfSel cap.Selector // selector of the VPE's own control capability
 
+	// call is the VPE's syscall frame; every syscall travels in it.
+	call sysCall
+
 	// OnExchange, if set, decides on incoming exchange requests; the
 	// default accepts everything. It runs as the VPE's exchange handler.
 	OnExchange func(ExchangeQuery) ExchangeAnswer
@@ -117,16 +120,26 @@ func (v *VPE) Kill() { v.exited = true }
 
 // syscall sends a request message to the group kernel and blocks until the
 // reply arrives, like the paper's message-based system calls. Each VPE has
-// a single syscall credit, enforcing one outstanding call.
-func (v *VPE) syscall(p *sim.Proc, req *sysRequest) *sysReply {
+// a single syscall credit, enforcing one outstanding call; the request and
+// the reply travel in the VPE's syscall frame (sysCall), so a call
+// allocates nothing beyond its two DTU messages.
+func (v *VPE) syscall(p *sim.Proc, req sysRequest) sysReply {
+	c := &v.call
+	if c.busy {
+		panic(fmt.Sprintf("core: VPE %d (%s) issued syscall %s while its %s call is outstanding; a VPE has one syscall frame",
+			v.ID, v.Name, req.Kind, c.req.Kind))
+	}
+	c.busy = true
 	req.VPE = v.ID
+	c.req = req
 	v.syscalls++
-	if err := v.dtu.Send(vpeSyscallSendEP, req, syscallMsgBytes, vpeSyscallReplyEP, 0); err != nil {
+	if err := v.dtu.Send(vpeSyscallSendEP, c, syscallMsgBytes, vpeSyscallReplyEP, 0); err != nil {
 		panic(fmt.Sprintf("core: syscall send failed: %v", err))
 	}
 	m := v.dtu.Wait(p, vpeSyscallReplyEP)
-	rep := m.Payload.(*sysReply)
+	rep := m.Payload.(*sysCall).rep
 	v.dtu.Ack(m)
+	c.busy = false
 	return rep
 }
 
@@ -148,7 +161,7 @@ func (v *VPE) TransferData(p *sim.Proc, bytes uint64) {
 // AllocMem allocates size bytes of global memory with the given permissions
 // and returns a root memory capability.
 func (v *VPE) AllocMem(p *sim.Proc, size uint64, perm dtu.Perm) (cap.Selector, error) {
-	rep := v.syscall(p, &sysRequest{Kind: sysAllocMem, Size: size, Perm: perm})
+	rep := v.syscall(p, sysRequest{Kind: sysAllocMem, Size: size, Perm: perm})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -156,7 +169,7 @@ func (v *VPE) AllocMem(p *sim.Proc, size uint64, perm dtu.Perm) (cap.Selector, e
 // the memory capability at sel, with possibly reduced permissions.
 func (v *VPE) DeriveMem(p *sim.Proc, sel cap.Selector, off, size uint64, perm dtu.Perm) (cap.Selector, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysDeriveMem, Sel: sel, Off: off, Size: size, Perm: perm})
+	rep := v.syscall(p, sysRequest{Kind: sysDeriveMem, Sel: sel, Off: off, Size: size, Perm: perm})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -165,7 +178,7 @@ func (v *VPE) DeriveMem(p *sim.Proc, sel cap.Selector, off, size uint64, perm dt
 // distributed obtain protocol if the owner lives in another PE group.
 func (v *VPE) ObtainFrom(p *sim.Proc, srcVPE int, srcSel cap.Selector) (cap.Selector, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysObtainFrom, TargetVPE: srcVPE, TargetSel: srcSel})
+	rep := v.syscall(p, sysRequest{Kind: sysObtainFrom, TargetVPE: srcVPE, TargetSel: srcSel})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -173,21 +186,21 @@ func (v *VPE) ObtainFrom(p *sim.Proc, srcVPE int, srcSel cap.Selector) (cap.Sele
 // is asked for consent; across groups the two-way handshake protocol runs.
 func (v *VPE) DelegateTo(p *sim.Proc, dstVPE int, sel cap.Selector) (cap.Selector, error) {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysDelegateTo, TargetVPE: dstVPE, Sel: sel})
+	rep := v.syscall(p, sysRequest{Kind: sysDelegateTo, TargetVPE: dstVPE, Sel: sel})
 	return rep.Sel, rep.Err.Err()
 }
 
 // Revoke recursively revokes the capability subtree rooted at sel.
 func (v *VPE) Revoke(p *sim.Proc, sel cap.Selector) error {
 	v.capOps++
-	rep := v.syscall(p, &sysRequest{Kind: sysRevoke, Sel: sel})
+	rep := v.syscall(p, sysRequest{Kind: sysRevoke, Sel: sel})
 	return rep.Err.Err()
 }
 
 // CreateRgate creates a receive gate on this VPE's endpoint ep and returns
 // its capability. Other VPEs can obtain send capabilities from it.
 func (v *VPE) CreateRgate(p *sim.Proc, ep, slots int) (cap.Selector, error) {
-	rep := v.syscall(p, &sysRequest{Kind: sysCreateRgate, EP: ep, Size: uint64(slots)})
+	rep := v.syscall(p, sysRequest{Kind: sysCreateRgate, EP: ep, Size: uint64(slots)})
 	return rep.Sel, rep.Err.Err()
 }
 
@@ -195,20 +208,20 @@ func (v *VPE) CreateRgate(p *sim.Proc, ep, slots int) (cap.Selector, error) {
 // send capability), enabling direct DTU access without further kernel
 // involvement.
 func (v *VPE) Activate(p *sim.Proc, sel cap.Selector, ep int) error {
-	rep := v.syscall(p, &sysRequest{Kind: sysActivate, Sel: sel, EP: ep})
+	rep := v.syscall(p, sysRequest{Kind: sysActivate, Sel: sel, EP: ep})
 	return rep.Err.Err()
 }
 
 // Exit revokes all of the VPE's capabilities and marks it exited.
 func (v *VPE) Exit(p *sim.Proc) {
-	v.syscall(p, &sysRequest{Kind: sysExit})
+	v.syscall(p, sysRequest{Kind: sysExit})
 	v.exited = true
 	v.doneAt = p.Now()
 }
 
 // Noop issues a no-op syscall (used to measure the bare syscall path).
 func (v *VPE) Noop(p *sim.Proc) {
-	v.syscall(p, &sysRequest{Kind: sysNoop})
+	v.syscall(p, sysRequest{Kind: sysNoop})
 }
 
 // DTU exposes the VPE's DTU for direct data access after Activate.

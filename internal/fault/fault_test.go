@@ -97,6 +97,40 @@ func TestInjectorScope(t *testing.T) {
 	}
 }
 
+// TestUserLinksNeverFaulted: whatever the plan — every kernel-link message
+// dropped and duplicated, jitter, a stalled and a crashed kernel — a message
+// with a user PE at either end passes untouched and unseen. core relies on
+// this: a VPE's syscall frame and consent queries travel these links and
+// must arrive exactly once.
+func TestUserLinksNeverFaulted(t *testing.T) {
+	const kernels, pes = 4, 12
+	in := NewInjector(Plan{
+		Seed: 11, Drop: 1, Dup: 1, Jitter: 500,
+		Kernels: []KernelFault{
+			{Kernel: 1, StallAt: 0, StallFor: 1 << 20},
+			{Kernel: 2, CrashAt: 1, RecoverAt: 1 << 20},
+		},
+	}, kernels)
+	for now := sim.Time(0); now < 4000; now += 1000 {
+		for src := 0; src < pes; src++ {
+			for dst := 0; dst < pes; dst++ {
+				if src < kernels && dst < kernels {
+					continue
+				}
+				if v := in.Inspect(now, src, dst, 64); v != (noc.Verdict{}) {
+					t.Fatalf("Inspect(%d, %d->%d) = %+v, want the zero verdict on a user-PE link", now, src, dst, v)
+				}
+			}
+		}
+	}
+	if st := in.Stats(); st != (Stats{}) {
+		t.Fatalf("stats %+v after user-PE traffic only, want all zero", st)
+	}
+	if v := in.Inspect(0, 0, 3, 64); !v.Drop {
+		t.Fatalf("kernel link 0->3 not dropped: the plan is not in force")
+	}
+}
+
 // TestInjectorScopeCountersIndependent verifies out-of-scope traffic never
 // shifts the kernel-link fault sequence: a machine with extra user-PE
 // chatter sees the same verdicts on the kernel links.
